@@ -11,7 +11,7 @@ from .experiment import (
     ExperimentResult,
     Table1Row,
     TrajectorySample,
-    TrialTrace,
+    TrialTraces,
     accuracy,
     build_model,
     inverse_cdf_sample,
@@ -74,7 +74,7 @@ __all__ = [
     "ScaledMessages",
     "Table1Row",
     "TrajectorySample",
-    "TrialTrace",
+    "TrialTraces",
     "accuracy",
     "apply_gaussian_noise",
     "backward_pass",

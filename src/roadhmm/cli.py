@@ -68,35 +68,29 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         map_source=args.map,
     )
-    traces, _ = experiment.simulate_trials(config, workers=args.threads)
+    traces = experiment.simulate_trials(config, smoother=args.method != "filter")
+    blank = [[""] * config.steps] * config.trials
+    filter_rows = traces.filter_estimates.tolist() if args.method != "smoother" else blank
+    smoother_rows = traces.smoother_estimates.tolist() if args.method != "filter" else blank
     lines = [RESULTS_HEADER]
-    for trial, trace in enumerate(traces):
-        for k in range(config.steps):
-            filter_est = trace.filter_estimates[k] if args.method != "smoother" else ""
-            smoother_est = trace.smoother_estimates[k] if args.method != "filter" else ""
-            lines.append(
-                f"{trial},{k + 1},{trace.sample.true_states[k]},"
-                f"{trace.sample.measurements[k]},{filter_est},{smoother_est}"
-            )
+    for trial, columns in enumerate(
+        zip(traces.true_states.tolist(), traces.measurements.tolist(), filter_rows, smoother_rows)
+    ):
+        for k, (state, measured, filter_est, smoother_est) in enumerate(zip(*columns), start=1):
+            lines.append(f"{trial},{k},{state},{measured},{filter_est},{smoother_est}")
     _write_text(args.out, "\n".join(lines) + "\n")
     summary = sys.stderr if args.out in (None, "-") else sys.stdout
     if args.method != "smoother":
-        mean = np.mean(
-            [experiment.accuracy(t.sample.true_states, t.filter_estimates) for t in traces]
-        )
+        mean = np.mean(experiment.accuracy(traces.true_states, traces.filter_estimates))
         print(f"filter mean accuracy: {mean:.4f}", file=summary)
     if args.method != "filter":
-        mean = np.mean(
-            [experiment.accuracy(t.sample.true_states, t.smoother_estimates) for t in traces]
-        )
+        mean = np.mean(experiment.accuracy(traces.true_states, traces.smoother_estimates))
         print(f"smoother mean accuracy: {mean:.4f}", file=summary)
     return EXIT_OK
 
 
 def _cmd_replicate_table1(args) -> int:
-    rows = experiment.replicate_table1(
-        master_seed=args.seed, trials=args.trials, workers=args.threads
-    )
+    rows = experiment.replicate_table1(master_seed=args.seed, trials=args.trials)
     print(f"{'scenario':<20}{'filter':>10}{'smoother':>10}   reference (filter/smoother)")
     csv_lines = [
         "initial_state,sigma,steps,trials,filter_mean,filter_std,"
@@ -162,11 +156,10 @@ def _cmd_infer(args) -> int:
     for method, beliefs in (("filter", result.filtered), ("smoother", result.smoothed)):
         if args.method not in (method, "both"):
             continue
+        estimates = inference.map_estimate(beliefs).tolist()
         for k, belief in enumerate(beliefs, start=1):
             probs = ",".join(repr(float(p)) for p in belief)
-            lines.append(
-                f"{method},{k},{measurements[k - 1]},{inference.map_estimate(belief)},{probs}"
-            )
+            lines.append(f"{method},{k},{measurements[k - 1]},{estimates[k - 1]},{probs}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -187,14 +180,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("filter", "smoother", "both"), default="both")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("replicate-table1", help="run the three reference scenarios")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--out", default=None, help="optional CSV path for the comparison table")
     p.set_defaults(func=_cmd_replicate_table1)
 

@@ -1,13 +1,12 @@
 """Monte Carlo harness: trajectory sampling, accuracy, scenario comparison.
 
 Trials are seeded independently from a master seed through a SplitMix64
-stream, so results are identical no matter how many worker threads run the
-trials or in which order they finish.
+stream and run in batches whose width is a fixed function of the run's size,
+so a run's results are a function of its configuration alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from . import inference, roadmap, sensor
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BATCH_BYTES = 1 << 20
 
 #: (initial state, sigma, reported filter accuracy, reported smoother accuracy)
 TABLE1_SCENARIOS = (
@@ -38,7 +38,7 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
     trial_seed(s, t) = splitmix64(s + (t + 1) * 0x9E3779B97F4A7C15 mod 2^64).
     Fixed and documented so experiment results stay reproducible across
-    versions and thread counts.
+    versions.
     """
     return splitmix64((master_seed + (trial + 1) * _GOLDEN) & _MASK64)
 
@@ -52,13 +52,18 @@ class TrajectorySample:
     measurements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TrialTrace:
-    """One trial's trajectory and the per-step point estimates."""
+@dataclass(frozen=True, eq=False)
+class TrialTraces:
+    """Every trial of a run: (trials, steps) int arrays of node ids, row i for trial i.
 
-    sample: TrajectorySample
-    filter_estimates: tuple[int, ...]
-    smoother_estimates: tuple[int, ...]
+    ``smoother_estimates`` is None when the smoother was not run.
+    """
+
+    seeds: tuple[int, ...]
+    true_states: np.ndarray
+    measurements: np.ndarray
+    filter_estimates: np.ndarray
+    smoother_estimates: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -111,56 +116,75 @@ def _sample_std(values) -> float:
     return float(np.std(values, ddof=1))
 
 
-def inverse_cdf_sample(cdf: np.ndarray, u: float) -> int:
+def inverse_cdf_sample(cdf, u):
     """Smallest node id whose cumulative probability exceeds ``u``.
 
     ``cdf`` is the running sum of a probability column in ascending node-id
-    order; zero-probability states are never selected.
+    order; zero-probability states are never selected. Given N such columns
+    side by side, (M, N), and N uniforms, it returns N node ids. Counting the
+    entries <= u equals ``searchsorted(side="right")`` on a non-decreasing
+    column; the cap at M keeps a u beyond a rounded-down total in range.
     """
-    index = int(np.searchsorted(cdf, u, side="right"))
-    return min(index, len(cdf) - 1) + 1
+    cdf = np.asarray(cdf)
+    ids = np.minimum((cdf <= u).sum(axis=0), len(cdf) - 1) + 1
+    return int(ids) if ids.ndim == 0 else ids
 
 
-def sample_trajectory(A, obs, initial_state: int, steps: int, seed: int) -> TrajectorySample:
+def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None):
     """Simulate a true path and its measurements by inverse-CDF sampling.
 
     Each step draws the next state from column x_{k-1} of the transition
     matrix, then the measurement from column x_k of the observation matrix,
-    consuming one uniform per draw in that order.
+    consuming one uniform per draw in that order. A trial's 2T uniforms come
+    from one ``default_rng(seed).random(2 * steps)`` call, the same stream as
+    2T single draws.
+
+    ``seed`` is one seed, giving a TrajectorySample, or a sequence of N
+    seeds, giving (true_states, measurements) as (steps, N) int arrays of node
+    ids with one column per seed. ``cdfs`` is ``(np.cumsum(A, axis=0),
+    np.cumsum(obs, axis=0))`` for a caller that samples many batches.
     """
-    A = np.asarray(A, dtype=float)
-    obs = np.asarray(obs, dtype=float)
-    m = A.shape[0]
+    m = np.shape(A)[0]
     if not 1 <= initial_state <= m:
         raise ValueError(f"initial state {initial_state} out of range 1..{m}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    rng = np.random.default_rng(seed)
-    transition_cdf = np.cumsum(A, axis=0)
-    observation_cdf = np.cumsum(obs, axis=0)
-    states = []
-    measurements = []
-    x = int(initial_state)
-    for _ in range(steps):
-        x = inverse_cdf_sample(transition_cdf[:, x - 1], rng.random())
-        states.append(x)
-        measurements.append(inverse_cdf_sample(observation_cdf[:, x - 1], rng.random()))
-    return TrajectorySample(
-        initial_state=int(initial_state),
-        true_states=tuple(states),
-        measurements=tuple(measurements),
-    )
+    if cdfs is None:
+        cdfs = (np.cumsum(np.asarray(A, dtype=float), axis=0),
+                np.cumsum(np.asarray(obs, dtype=float), axis=0))
+    transition_cdf, observation_cdf = cdfs
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    uniforms = np.array([np.random.default_rng(s).random(2 * steps) for s in seeds])
+    uniforms = uniforms.T.reshape(steps, 2, len(seeds))
+    states = np.empty((steps, len(seeds)), dtype=np.int64)
+    measurements = np.empty_like(states)
+    x = np.full(len(seeds), int(initial_state))
+    for k in range(steps):
+        x = states[k] = inverse_cdf_sample(transition_cdf[:, x - 1], uniforms[k, 0])
+        measurements[k] = inverse_cdf_sample(observation_cdf[:, x - 1], uniforms[k, 1])
+    if single:
+        return TrajectorySample(
+            initial_state=int(initial_state),
+            true_states=tuple(states[:, 0].tolist()),
+            measurements=tuple(measurements[:, 0].tolist()),
+        )
+    return states, measurements
 
 
-def accuracy(true_states, estimates) -> float:
-    """Fraction of steps where the estimate equals the true state."""
+def accuracy(true_states, estimates):
+    """Fraction of steps where the estimate equals the true state.
+
+    For (N, T) arrays, one fraction per row, as an (N,) array.
+    """
     truth = np.asarray(true_states)
     estimate = np.asarray(estimates)
     if truth.shape != estimate.shape:
-        raise ValueError(f"length mismatch: {truth.shape[0]} true vs {estimate.shape[0]} estimated")
+        raise ValueError(f"length mismatch: {truth.shape[-1]} true vs {estimate.shape[-1]} estimated")
     if truth.size == 0:
         raise ValueError("empty sequences")
-    return float(np.mean(truth == estimate))
+    fractions = np.mean(truth == estimate, axis=-1)
+    return float(fractions) if fractions.ndim == 0 else fractions
 
 
 def build_model(map_source: str, sigma: float):
@@ -176,13 +200,18 @@ def build_model(map_source: str, sigma: float):
     return graph, transition, observation
 
 
-def simulate_trials(
-    config: ExperimentConfig, workers: int = 1
-) -> tuple[list[TrialTrace], tuple[int, ...]]:
+def batch_width(steps: int, num_states: int) -> int:
+    """Trials sampled and inferred together: each (T, M, W) belief array stays within 1 MiB."""
+    return max(1, _BATCH_BYTES // (8 * steps * num_states))
+
+
+def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTraces:
     """Run all trials of a configuration; deterministic for fixed config.
 
-    Each trial gets its own seed via ``trial_seed``, so the traces are the
-    same whatever ``workers`` is.
+    Each trial gets its own seed via ``trial_seed``. Trials run in batches of
+    ``batch_width`` through one sampling and inference pass each; with
+    ``smoother=False`` the backward pass and the smoothing product are
+    skipped and ``smoother_estimates`` is None.
     """
     graph, transition, observation = build_model(config.map_source, config.sigma)
     if not 1 <= config.initial_state <= graph.num_nodes:
@@ -195,42 +224,40 @@ def simulate_trials(
         raise ValueError("trials must be >= 1")
     seeds = tuple(trial_seed(config.master_seed, t) for t in range(config.trials))
     prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
-
-    def run_one(index: int) -> TrialTrace:
+    cdfs = (np.cumsum(transition, axis=0), np.cumsum(observation, axis=0))
+    shape = (config.trials, config.steps)
+    states, measurements, filtered = (np.empty(shape, dtype=np.int64) for _ in range(3))
+    smoothed = np.empty(shape, dtype=np.int64) if smoother else None
+    width = batch_width(config.steps, graph.num_nodes)
+    for start in range(0, config.trials, width):
+        batch = slice(start, start + width)
+        x, y = sample_trajectory(
+            transition, observation, config.initial_state, config.steps, seeds[batch], cdfs=cdfs
+        )
+        states[batch], measurements[batch] = x.T, y.T
         try:
-            sample = sample_trajectory(
-                transition, observation, config.initial_state, config.steps, seeds[index]
-            )
-            result = inference.run_smoother(
-                transition, observation, sample.measurements, prior
-            )
-            return TrialTrace(
-                sample=sample,
-                filter_estimates=tuple(inference.map_estimate(b) for b in result.filtered),
-                smoother_estimates=tuple(inference.map_estimate(b) for b in result.smoothed),
-            )
-        except ValueError as exc:
-            raise type(exc)(f"trial {index}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run_one, range(config.trials)))
-    else:
-        traces = [run_one(t) for t in range(config.trials)]
-    return traces, seeds
+            forward = inference.forward_pass(transition, observation, y, prior)
+            filtered[batch] = inference.map_estimate(forward.vectors).T
+            if smoother:
+                backward = inference.backward_pass(transition, observation, y)
+                smoothed[batch] = inference.map_estimate(inference.smooth(forward, backward)).T
+        except inference.InferenceError as exc:
+            raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
+    return TrialTraces(seeds, states, measurements, filtered, smoothed)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Sample, filter and smooth ``config.trials`` trajectories; report accuracies."""
-    traces, seeds = simulate_trials(config, workers=workers)
+    """Sample, filter and smooth ``config.trials`` trajectories; report accuracies.
+
+    ``workers`` is accepted for compatibility and has no effect.
+    """
+    traces = simulate_trials(config)
     return ExperimentResult(
-        filter_accuracies=tuple(
-            accuracy(t.sample.true_states, t.filter_estimates) for t in traces
-        ),
+        filter_accuracies=tuple(accuracy(traces.true_states, traces.filter_estimates).tolist()),
         smoother_accuracies=tuple(
-            accuracy(t.sample.true_states, t.smoother_estimates) for t in traces
+            accuracy(traces.true_states, traces.smoother_estimates).tolist()
         ),
-        trial_seeds=seeds,
+        trial_seeds=traces.seeds,
     )
 
 
@@ -238,6 +265,8 @@ def replicate_table1(
     master_seed: int = 0, trials: int = 500, workers: int = 1
 ) -> tuple[Table1Row, ...]:
     """Run the three reference scenarios on the default map at T = 50.
+
+    ``workers`` is accepted for compatibility and has no effect.
 
     All scenarios share the master seed, so per-trial uniforms act as common
     random numbers across rows and sigma comparisons are paired.
@@ -256,7 +285,7 @@ def replicate_table1(
             Table1Row(
                 label=f"init={initial_state} sigma={sigma:g}",
                 config=config,
-                result=run_experiment(config, workers=workers),
+                result=run_experiment(config),
                 reference_filter=reference_filter,
                 reference_smoother=reference_smoother,
             )

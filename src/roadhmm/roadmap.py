@@ -57,7 +57,7 @@ class RoadGraph:
 
     Weights are unnormalized ratios, not probabilities; the transition
     builder normalizes per node. Instances are immutable and validated on
-    construction: endpoints in range, nonnegative weights, no duplicate
+    construction: endpoints in range, finite nonnegative weights, no duplicate
     (src, dst) pairs, and every node has at least one outgoing edge with
     positive weight (otherwise it would have no transition distribution).
     """
@@ -86,7 +86,9 @@ class RoadGraph:
             if not isinstance(weight, (int, float, np.floating)) or isinstance(weight, bool):
                 raise MapError(f"weight {weight!r} on edge ({src}, {dst}) is not a number")
             weight = float(weight)
-            if not np.isfinite(weight) or weight < 0:
+            if not np.isfinite(weight):
+                raise MapError(f"non-finite weight {weight} on edge ({src}, {dst})")
+            if weight < 0:
                 raise MapError(f"negative weight {weight} on edge ({src}, {dst})")
             key = (int(src), int(dst))
             if key in seen:

@@ -24,14 +24,18 @@ class NoiseSpec:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(self.sigma)
+
+
+def _check_sigma(sigma: float) -> None:
+    # an infinite sigma would flatten the kernel to zero and leave a noise-free model
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def gaussian_kernel(j: int, i: int, sigma: float) -> float:
     """Normal density with std ``sigma`` at index distance j - i; symmetric in (i, j)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     d = float(j) - float(i)
     return math.exp(-(d * d) / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
 

@@ -59,6 +59,17 @@ def test_validate_map_negative_weight(tmp_path, capsys):
     assert "(1, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_validate_map_non_finite_weight(tmp_path, capsys, weight):
+    bad = dict(SMALL_MAP, edges=SMALL_MAP["edges"] + [{"from": 1, "to": 3, "weight": weight}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["validate-map", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"non-finite weight {weight} on edge (1, 3)" in err
+    assert "negative" not in err
+
+
 def test_validate_map_missing_file(tmp_path, capsys):
     assert main(["validate-map", str(tmp_path / "absent.json")]) == 2
     assert "I/O error" in capsys.readouterr().err
@@ -129,6 +140,25 @@ def test_simulate_smoother_only_leaves_filter_column_empty(tmp_path):
         fields = line.split(",")
         assert fields[4] == ""
         assert fields[5] != ""
+
+
+def test_simulate_filter_only_equals_both_with_smoother_blanked(tmp_path, capsys):
+    both, filter_only = tmp_path / "both.csv", tmp_path / "filter.csv"
+    assert main(simulate_args(str(both), **{"--trials": "30"})) == 0
+    assert main(simulate_args(str(filter_only), **{"--trials": "30", "--method": "filter"})) == 0
+    blanked = [line.rsplit(",", 1)[0] + "," for line in both.read_text().splitlines()[1:]]
+    assert filter_only.read_text().splitlines() == [cli.RESULTS_HEADER] + blanked
+    summaries = capsys.readouterr().out.splitlines()
+    assert summaries[2] == summaries[0]
+    assert len(summaries) == 3
+
+
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_simulate_rejects_non_finite_sigma(tmp_path, capsys, sigma):
+    out = tmp_path / "x.csv"
+    assert main(simulate_args(str(out), **{"--sigma": sigma})) == 1
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_bad_init(tmp_path, capsys):
@@ -334,3 +364,15 @@ def test_infer_invalid_token_names_line(tmp_path, small_map_path, capsys):
     )
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_infer_rejects_non_finite_sigma(tmp_path, small_map_path, capsys, sigma):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("1\n2\n")
+    out = tmp_path / "trace.csv"
+    args = ["infer", "--map", small_map_path, "--sigma", sigma, "--measurements",
+            str(measurements), "--init-state", "1", "--out", str(out)]
+    assert main(args) == 1
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()

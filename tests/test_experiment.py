@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import experiment, roadmap
+from roadhmm import experiment, inference, roadmap
 from roadhmm.experiment import ExperimentConfig
 
 
@@ -60,6 +60,17 @@ def test_inverse_cdf_frequencies_track_column():
     assert np.abs(counts / n - probabilities).max() < 0.02
 
 
+def test_inverse_cdf_batch_matches_searchsorted():
+    rng = np.random.default_rng(7)
+    columns = rng.random((6, 40)) * (rng.random((6, 40)) < 0.6)
+    columns[0] += 1e-3
+    cdf = np.cumsum(columns / columns.sum(axis=0), axis=0)
+    u = rng.random(40)
+    u[:3] = (cdf[-1, 0], cdf[2, 1], 0.0)
+    expected = [min(int(np.searchsorted(cdf[:, i], u[i], side="right")), 5) + 1 for i in range(40)]
+    assert experiment.inverse_cdf_sample(cdf, u).tolist() == expected
+
+
 # ---- sample_trajectory ----
 
 
@@ -86,6 +97,33 @@ def test_sampled_pairs_have_positive_probability(default_transition, default_obs
         assert default_transition[state - 1, previous - 1] > 0.0
         assert default_observation[measurement - 1, state - 1] > 0.0
         previous = state
+
+
+def scalar_reference_sample(A, obs, initial_state, steps, seed):
+    """One scalar draw per step and per measurement, searched with searchsorted."""
+    rng = np.random.default_rng(seed)
+    transition_cdf, observation_cdf = np.cumsum(A, axis=0), np.cumsum(obs, axis=0)
+    last = A.shape[0] - 1
+    x, states, measurements = initial_state, [], []
+    for _ in range(steps):
+        x = min(int(np.searchsorted(transition_cdf[:, x - 1], rng.random(), side="right")), last) + 1
+        y = min(int(np.searchsorted(observation_cdf[:, x - 1], rng.random(), side="right")), last) + 1
+        states.append(x)
+        measurements.append(y)
+    return tuple(states), tuple(measurements)
+
+
+def test_sample_trajectory_matches_scalar_draws(default_transition, default_observation):
+    seeds = [experiment.trial_seed(3, t) for t in range(6)]
+    states, measurements = experiment.sample_trajectory(
+        default_transition, default_observation, 90, 60, seeds
+    )
+    assert states.shape == measurements.shape == (60, 6)
+    for i, seed in enumerate(seeds):
+        reference = scalar_reference_sample(default_transition, default_observation, 90, 60, seed)
+        single = experiment.sample_trajectory(default_transition, default_observation, 90, 60, seed)
+        assert (single.true_states, single.measurements) == reference
+        assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
 
 
 def test_sample_trajectory_rejects_bad_initial(default_transition, default_observation):
@@ -178,6 +216,81 @@ def test_perfect_sensor_filter_is_always_right(default_transition):
         result = inference.run_smoother(default_transition, identity, sample.measurements, prior)
         estimates = tuple(inference.map_estimate(b) for b in result.filtered)
         assert experiment.accuracy(sample.true_states, estimates) == 1.0
+
+
+# ---- batched engine against a per-trial reference ----
+
+
+def per_trial_reference(config):
+    """sample_trajectory + run_smoother + map_estimate, one trial at a time."""
+    _, transition, observation = experiment.build_model(config.map_source, config.sigma)
+    prior = inference.point_mass_belief(transition.shape[0], config.initial_state)
+    rows = []
+    for trial in range(config.trials):
+        sample = experiment.sample_trajectory(
+            transition, observation, config.initial_state, config.steps,
+            experiment.trial_seed(config.master_seed, trial),
+        )
+        result = inference.run_smoother(transition, observation, sample.measurements, prior)
+        rows.append((
+            sample.true_states,
+            sample.measurements,
+            [inference.map_estimate(b) for b in result.filtered],
+            [inference.map_estimate(b) for b in result.smoothed],
+        ))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def assert_matches_reference(config):
+    traces = experiment.simulate_trials(config)
+    states, measurements, filtered, smoothed = per_trial_reference(config)
+    assert traces.seeds == tuple(experiment.trial_seed(config.master_seed, t) for t in range(config.trials))
+    assert np.array_equal(traces.true_states, states)
+    assert np.array_equal(traces.measurements, measurements)
+    assert np.array_equal(traces.filter_estimates, filtered)
+    assert np.array_equal(traces.smoother_estimates, smoothed)
+
+
+def test_engine_matches_per_trial_reference_with_partial_batch():
+    assert experiment.batch_width(50, 105) == 24  # 50 trials run as 24 + 24 + 2
+    for initial_state, sigma in ((5, 1.0), (90, 2.0)):
+        assert_matches_reference(
+            ExperimentConfig(initial_state=initial_state, sigma=sigma, steps=50, trials=50, master_seed=11)
+        )
+
+
+def test_engine_matches_per_trial_reference_at_width_one(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=700, seed=5)))
+    assert experiment.batch_width(100, 700) == 1
+    assert_matches_reference(
+        ExperimentConfig(initial_state=5, sigma=1.0, steps=100, trials=3, master_seed=2, map_source=str(path))
+    )
+
+
+def test_engine_filter_only_skips_smoother():
+    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=30, master_seed=4)
+    both = experiment.simulate_trials(config)
+    filter_only = experiment.simulate_trials(config, smoother=False)
+    assert filter_only.smoother_estimates is None
+    assert np.array_equal(filter_only.filter_estimates, both.filter_estimates)
+
+
+def test_engine_error_names_run_trial_and_step(monkeypatch):
+    sample = experiment.sample_trajectory
+    calls = []
+
+    def corrupt_second_batch(*args, **kwargs):
+        states, measurements = sample(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            measurements[2, 1] = 0
+        return states, measurements
+
+    monkeypatch.setattr(experiment, "sample_trajectory", corrupt_second_batch)
+    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=30, master_seed=1)
+    with pytest.raises(inference.InferenceError, match="^trial 25: step 3: measurement 0 out of range"):
+        experiment.simulate_trials(config)
 
 
 # ---- replicate_table1 ----

@@ -242,6 +242,106 @@ def test_run_smoother_long_sequence_stays_finite(random_instance):
     assert np.abs(result.smoothed.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+# ---- batches ----
+
+
+def vector_forward(transition, observation, measurements, initial):
+    """The matrix-vector recursion, one sequence at a time."""
+    belief, beliefs = np.asarray(initial, dtype=float), []
+    for y in measurements:
+        unnormalized = observation[y - 1] * (transition @ belief)
+        belief = unnormalized / float(unnormalized.sum())
+        beliefs.append(belief)
+    return np.array(beliefs)
+
+
+def vector_backward(transition, observation, measurements):
+    m = transition.shape[0]
+    beliefs = [np.full(m, 1.0 / m)]
+    for y in measurements[:0:-1]:
+        raw = transition.T @ (observation[y - 1] * beliefs[-1])
+        beliefs.append(raw / float(raw.sum()))
+    return np.array(beliefs[::-1])
+
+
+def test_single_sequence_is_bit_identical_to_vector_recursion(default_transition, default_observation):
+    from roadhmm import experiment
+
+    sample = experiment.sample_trajectory(default_transition, default_observation, 5, 2000, seed=4)
+    prior = inference.point_mass_belief(105, 5)
+    result = inference.run_smoother(default_transition, default_observation, sample.measurements, prior)
+    filtered = vector_forward(default_transition, default_observation, sample.measurements, prior)
+    backward = vector_backward(default_transition, default_observation, sample.measurements)
+    product = filtered * backward
+    assert np.array_equal(result.filtered, filtered)
+    assert np.array_equal(result.smoothed, product / product.sum(axis=1, keepdims=True))
+
+
+def test_batch_matches_single_sequences(random_instance):
+    rng = np.random.default_rng(41)
+    transition, observation, _, _ = random_instance(rng, 6, 1)
+    measurements = rng.integers(1, 7, size=(30, 5))
+    priors = rng.random((6, 5)) + 0.05
+    priors /= priors.sum(axis=0)
+    batch = inference.run_smoother(transition, observation, measurements, priors)
+    assert batch.filtered.shape == batch.smoothed.shape == (30, 6, 5)
+    assert batch.log_likelihood.shape == (5,)
+    for i in range(5):
+        single = inference.run_smoother(transition, observation, measurements[:, i], priors[:, i])
+        assert_allclose(batch.filtered[:, :, i], single.filtered, rtol=1e-12, atol=1e-15)
+        assert_allclose(batch.smoothed[:, :, i], single.smoothed, rtol=1e-12, atol=1e-15)
+        assert batch.log_likelihood[i] == pytest.approx(single.log_likelihood, abs=1e-10)
+        assert np.array_equal(
+            inference.map_estimate(batch.smoothed)[:, i], inference.map_estimate(single.smoothed)
+        )
+
+
+def test_batch_of_one_equals_single_sequence(random_instance):
+    rng = np.random.default_rng(43)
+    transition, observation, initial, measurements = random_instance(rng, 7, 40)
+    single = inference.run_smoother(transition, observation, measurements, initial)
+    batch = inference.run_smoother(
+        transition, observation, np.array(measurements)[:, None], initial[:, None]
+    )
+    assert np.array_equal(batch.filtered[:, :, 0], single.filtered)
+    assert np.array_equal(batch.smoothed[:, :, 0], single.smoothed)
+
+
+def test_batch_shares_a_one_dimensional_prior(two_state):
+    transition, observation, initial, measurements = two_state
+    columns = np.array([measurements, measurements]).T
+    shared = inference.forward_pass(transition, observation, columns, initial)
+    assert_allclose(shared.vectors[:, :, 1], [FILTERED_1, FILTERED_2], atol=1e-12)
+
+
+def test_batch_error_names_trial_and_step():
+    transition, observation = np.eye(2), np.eye(2)
+    measurements = np.array([[1, 1, 1], [1, 1, 2], [1, 2, 2]])
+    prior = np.array([1.0, 0.0])
+    with pytest.raises(InferenceError, match="^trial 2: step 2: measurement impossible") as info:
+        inference.forward_pass(transition, observation, measurements, prior)
+    assert (info.value.trial, info.value.step) == (2, 2)
+    with pytest.raises(InferenceError, match="^trial 1: step 2: measurement impossible"):
+        inference.backward_pass(transition, observation, measurements)
+    with pytest.raises(InferenceError, match="^step 2: measurement impossible"):
+        inference.forward_pass(transition, observation, measurements[:, 2], prior)
+
+
+def test_batch_out_of_range_measurement_names_trial_and_step(two_state):
+    transition, observation, initial, _ = two_state
+    measurements = np.array([[1, 2], [2, 3]])
+    with pytest.raises(InferenceError, match="^trial 1: step 2: measurement 3 out of range 1..2"):
+        inference.forward_pass(transition, observation, measurements, initial)
+    with pytest.raises(InferenceError, match="^step 2: measurement 0 out of range 1..2"):
+        inference.backward_pass(transition, observation, (1, 0))
+
+
+def test_map_estimate_batches_along_state_axis():
+    beliefs = np.array([[[0.1, 0.6], [0.9, 0.4]], [[0.5, 0.2], [0.5, 0.8]]])
+    assert np.array_equal(inference.map_estimate(beliefs), [[2, 1], [1, 2]])
+    assert np.array_equal(inference.map_estimate(beliefs[:, :, 0]), [2, 1])
+
+
 # ---- map_estimate ----
 
 

@@ -53,6 +53,14 @@ def test_kernel_rejects_bad_sigma(sigma):
         NoiseSpec(sigma)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_kernel_and_noise_reject_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        sensor.gaussian_kernel(1, 2, sigma)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        NoiseSpec(sigma)
+
+
 # ---- build_confusion_base ----
 
 
