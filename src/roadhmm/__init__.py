@@ -27,11 +27,9 @@ from .inference import (
     InferenceResult,
     ScaledMessages,
     backward_pass,
-    filter_step,
     forward_pass,
     map_estimate,
     point_mass_belief,
-    run_filter,
     run_smoother,
     smooth,
     uniform_belief,
@@ -82,7 +80,6 @@ __all__ = [
     "build_model",
     "build_transition_matrix",
     "enumerate_posteriors",
-    "filter_step",
     "forward_pass",
     "gaussian_kernel",
     "generate_default_map",
@@ -93,7 +90,6 @@ __all__ = [
     "point_mass_belief",
     "replicate_table1",
     "run_experiment",
-    "run_filter",
     "run_smoother",
     "sample_trajectory",
     "save_map",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,12 +29,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextmanager
+def _output(path: str | None):
+    """Text handle to write ``path``; stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        yield handle
 
 
 def _cmd_validate_map(args) -> int:
@@ -72,13 +75,14 @@ def _cmd_simulate(args) -> int:
     blank = [[""] * config.steps] * config.trials
     filter_rows = traces.filter_estimates.tolist() if args.method != "smoother" else blank
     smoother_rows = traces.smoother_estimates.tolist() if args.method != "filter" else blank
-    lines = [RESULTS_HEADER]
-    for trial, columns in enumerate(
-        zip(traces.true_states.tolist(), traces.measurements.tolist(), filter_rows, smoother_rows)
-    ):
-        for k, (state, measured, filter_est, smoother_est) in enumerate(zip(*columns), start=1):
-            lines.append(f"{trial},{k},{state},{measured},{filter_est},{smoother_est}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    per_trial = zip(
+        traces.true_states.tolist(), traces.measurements.tolist(), filter_rows, smoother_rows
+    )
+    with _output(args.out) as out:
+        out.write(RESULTS_HEADER + "\n")
+        for trial, columns in enumerate(per_trial):
+            for k, (state, measured, filter_est, smoother_est) in enumerate(zip(*columns), start=1):
+                out.write(f"{trial},{k},{state},{measured},{filter_est},{smoother_est}\n")
     summary = sys.stderr if args.out in (None, "-") else sys.stdout
     if args.method != "smoother":
         mean = np.mean(experiment.accuracy(traces.true_states, traces.filter_estimates))
@@ -109,18 +113,18 @@ def _cmd_replicate_table1(args) -> int:
             f"{row.reference_filter},{row.reference_smoother}"
         )
     if args.out:
-        _write_text(args.out, "\n".join(csv_lines) + "\n")
+        with _output(args.out) as out:
+            out.write("\n".join(csv_lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_export_matrices(args) -> int:
     _, transition, observation = experiment.build_model(args.map, args.sigma)
+    write = matrixio.write_matrix_csv if args.format == "csv" else matrixio.write_matrix_pgm
     for name, matrix in (("transition", transition), ("observation", observation)):
         path = f"{args.out_prefix}_{name}.{args.format}"
-        if args.format == "csv":
-            matrixio.write_matrix_csv(matrix, path)
-        else:
-            matrixio.write_matrix_pgm(matrix, path)
+        with _output(path) as out:
+            write(matrix, out)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -148,19 +152,23 @@ def _cmd_infer(args) -> int:
     if not 1 <= args.init_state <= graph.num_nodes:
         raise ValueError(f"initial state {args.init_state} out of range 1..{graph.num_nodes}")
     prior = inference.point_mass_belief(graph.num_nodes, args.init_state)
-    result = inference.run_smoother(transition, observation, measurements, prior)
+    forward = inference.forward_pass(transition, observation, measurements, prior)
+    beliefs = {}
+    if args.method != "smoother":
+        beliefs["filter"] = forward.vectors
+    if args.method != "filter":
+        backward = inference.backward_pass(transition, observation, measurements)
+        beliefs["smoother"] = inference.smooth(forward, backward)
+    estimates = {method: inference.map_estimate(b).tolist() for method, b in beliefs.items()}
     header = "method,k,measured,estimate," + ",".join(
         f"p_{i}" for i in range(1, graph.num_nodes + 1)
     )
-    lines = [header]
-    for method, beliefs in (("filter", result.filtered), ("smoother", result.smoothed)):
-        if args.method not in (method, "both"):
-            continue
-        estimates = inference.map_estimate(beliefs).tolist()
-        for k, belief in enumerate(beliefs, start=1):
-            probs = ",".join(repr(float(p)) for p in belief)
-            lines.append(f"{method},{k},{measurements[k - 1]},{estimates[k - 1]},{probs}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as out:
+        out.write(header + "\n")
+        for method, table in beliefs.items():
+            rows = zip(measurements, estimates[method], table)
+            for k, (measured, estimate, belief) in enumerate(rows, start=1):
+                out.write(f"{method},{k},{measured},{estimate},{matrixio.format_row(belief)}\n")
     return EXIT_OK
 
 

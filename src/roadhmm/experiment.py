@@ -180,7 +180,11 @@ def accuracy(true_states, estimates):
     truth = np.asarray(true_states)
     estimate = np.asarray(estimates)
     if truth.shape != estimate.shape:
-        raise ValueError(f"length mismatch: {truth.shape[-1]} true vs {estimate.shape[-1]} estimated")
+        if truth.ndim == estimate.ndim == 1:
+            raise ValueError(f"length mismatch: {truth.size} true vs {estimate.size} estimated")
+        raise ValueError(
+            f"length mismatch: shape {truth.shape} true vs {estimate.shape} estimated"
+        )
     if truth.size == 0:
         raise ValueError("empty sequences")
     fractions = np.mean(truth == estimate, axis=-1)
@@ -246,11 +250,8 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
     return TrialTraces(seeds, states, measurements, filtered, smoothed)
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Sample, filter and smooth ``config.trials`` trajectories; report accuracies.
-
-    ``workers`` is accepted for compatibility and has no effect.
-    """
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Sample, filter and smooth ``config.trials`` trajectories; report accuracies."""
     traces = simulate_trials(config)
     return ExperimentResult(
         filter_accuracies=tuple(accuracy(traces.true_states, traces.filter_estimates).tolist()),
@@ -261,12 +262,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     )
 
 
-def replicate_table1(
-    master_seed: int = 0, trials: int = 500, workers: int = 1
-) -> tuple[Table1Row, ...]:
+def replicate_table1(master_seed: int = 0, trials: int = 500) -> tuple[Table1Row, ...]:
     """Run the three reference scenarios on the default map at T = 50.
-
-    ``workers`` is accepted for compatibility and has no effect.
 
     All scenarios share the master seed, so per-trial uniforms act as common
     random numbers across rows and sigma comparisons are paired.

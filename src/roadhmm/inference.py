@@ -19,7 +19,6 @@ one-sequence beliefs by an ulp.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,22 +91,6 @@ def _first_bad(normalizers: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.argwhere(~ok)[0])
 
 
-def filter_step(
-    prior: np.ndarray, A: np.ndarray, likelihood: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """One predict/update cycle.
-
-    Returns the posterior (likelihood-weighted prediction, renormalized) and
-    the normalizer, i.e. the probability of the measurement given the prior.
-    """
-    predicted = np.asarray(A) @ np.asarray(prior)
-    unnormalized = np.asarray(likelihood) * predicted
-    normalizer = float(unnormalized.sum())
-    if not normalizer > 0.0 or not math.isfinite(normalizer):
-        raise InferenceError("measurement impossible under model")
-    return unnormalized / normalizer, normalizer
-
-
 def _observation_rows(obs: np.ndarray, measurements) -> tuple[np.ndarray, bool]:
     """Measurements as 0-based observation rows of shape (T, N), and whether they were a batch."""
     ids = np.asarray(measurements)
@@ -140,8 +123,9 @@ def _messages(vectors: np.ndarray, logs: np.ndarray, batched: bool) -> ScaledMes
 def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     """Scaled forward recursion; vectors equal the filter beliefs.
 
-    Each step is filter_step for all N columns at once. For a batch,
-    ``initial`` is (M, N), or one (M,) prior shared by all N.
+    Each step predicts with A, weights by the likelihood of the measurement
+    and renormalizes, for all N columns at once. For a batch, ``initial`` is
+    (M, N), or one (M,) prior shared by all N.
     """
     A = np.asarray(A, dtype=float)
     obs = np.asarray(obs, dtype=float)
@@ -171,12 +155,6 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
 def _log_likelihood(messages: ScaledMessages) -> float | np.ndarray:
     total = messages.log_scale_factors.sum(axis=0)
     return float(total) if total.ndim == 0 else total
-
-
-def run_filter(A, obs, measurements, initial) -> tuple[np.ndarray, float | np.ndarray]:
-    """Filter beliefs after each measurement plus log p(y_1..y_T)."""
-    messages = forward_pass(A, obs, measurements, initial)
-    return messages.vectors, _log_likelihood(messages)
 
 
 def backward_pass(A, obs, measurements) -> ScaledMessages:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from typing import TextIO
+
 import numpy as np
 
 
-def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    """Write comma-separated rows with full round-trip precision."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in matrix:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+def format_row(values: np.ndarray) -> str:
+    """Comma-separated floats with full round-trip precision (``repr`` of each)."""
+    return ",".join(map(repr, values.tolist()))
+
+
+def write_matrix_csv(matrix: np.ndarray, out: TextIO) -> None:
+    """Write one comma-separated line per matrix row."""
+    for row in np.asarray(matrix, dtype=float):
+        out.write(format_row(row) + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -23,8 +28,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def format_pgm(matrix: np.ndarray) -> str:
-    """Render a matrix as plain-text grayscale (PGM P2), one image row per line.
+def write_matrix_pgm(matrix: np.ndarray, out: TextIO) -> None:
+    """Write a matrix as plain-text grayscale (PGM P2), one image row per line.
 
     Pixels scale by the matrix maximum: round(255 * value / max), so the
     largest probability is white and zeros are black.
@@ -32,11 +37,6 @@ def format_pgm(matrix: np.ndarray) -> str:
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
     pixels = np.rint(255.0 * matrix / matrix.max()).astype(int)
-    lines = ["P2", f"{cols} {rows}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in pixels)
-    return "\n".join(lines) + "\n"
-
-
-def write_matrix_pgm(matrix: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_pgm(matrix))
+    out.write(f"P2\n{cols} {rows}\n255\n")
+    for row in pixels:
+        out.write(" ".join(str(v) for v in row) + "\n")

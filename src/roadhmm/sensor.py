@@ -33,11 +33,14 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
-def gaussian_kernel(j: int, i: int, sigma: float) -> float:
-    """Normal density with std ``sigma`` at index distance j - i; symmetric in (i, j)."""
+def gaussian_kernel(j, i, sigma: float):
+    """Normal density with std ``sigma`` at index distance j - i; symmetric in (i, j).
+
+    ``j`` and ``i`` are node indices or arrays of them that broadcast together.
+    """
     _check_sigma(sigma)
-    d = float(j) - float(i)
-    return math.exp(-(d * d) / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
+    d = np.asarray(j, dtype=float) - np.asarray(i, dtype=float)
+    return np.exp(-(d * d) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def build_confusion_base(graph: RoadGraph, diagonal_target: float = 0.7) -> np.ndarray:
@@ -71,10 +74,8 @@ def apply_gaussian_noise(base: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     entry is strictly positive.
     """
     base = np.asarray(base, dtype=float)
-    m = base.shape[0]
-    ids = np.arange(1, m + 1, dtype=float)
-    d = ids[:, None] - ids[None, :]
-    g = np.exp(-(d * d) / (2.0 * noise.sigma**2)) / (noise.sigma * math.sqrt(2.0 * math.pi))
+    ids = np.arange(1, base.shape[0] + 1)
+    g = gaussian_kernel(ids[:, None], ids[None, :], noise.sigma)
     return (base + g) / (1.0 + g.sum(axis=0))
 
 

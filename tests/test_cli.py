@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import cli, matrixio, oracle, roadmap
+from roadhmm import cli, experiment, inference, matrixio, oracle, roadmap
 from roadhmm.cli import main
 
 
@@ -218,6 +218,15 @@ def test_export_csv_round_trips_exactly(tmp_path, small_map_path):
     assert_allclose(observation.sum(axis=0), 1.0, atol=1e-12)
 
 
+def test_export_csv_text_is_repr_of_each_entry(tmp_path):
+    prefix = tmp_path / "default"
+    assert main(["export-matrices", "--sigma", "2", "--out-prefix", str(prefix)]) == 0
+    _, transition, observation = experiment.build_model("default", 2.0)
+    for name, matrix in (("transition", transition), ("observation", observation)):
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+        assert (tmp_path / f"default_{name}.csv").read_bytes() == expected.encode()
+
+
 def test_export_pgm_format(tmp_path):
     prefix = str(tmp_path / "default")
     assert main(["export-matrices", "--format", "pgm", "--out-prefix", prefix]) == 0
@@ -273,8 +282,6 @@ def test_infer_writes_trace(tmp_path, small_map_path):
 
 
 def test_infer_trace_matches_oracle(tmp_path, small_map_path):
-    from roadhmm import experiment, inference
-
     measurements = tmp_path / "meas.txt"
     sequence = (3, 3, 3, 3, 3)
     measurements.write_text("\n".join(str(v) for v in sequence) + "\n")
@@ -375,4 +382,62 @@ def test_infer_rejects_non_finite_sigma(tmp_path, small_map_path, capsys, sigma)
             str(measurements), "--init-state", "1", "--out", str(out)]
     assert main(args) == 1
     assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def infer_args(map_path, measurements, *extra):
+    return ["infer", "--map", map_path, "--measurements", str(measurements), "--init-state", "1",
+            *extra]
+
+
+def test_infer_filter_skips_backward_pass_and_equals_both(tmp_path, small_map_path, monkeypatch):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("1\n2\n3\n3\n4\n")
+    both, filter_only = tmp_path / "both.csv", tmp_path / "filter.csv"
+    assert main(infer_args(small_map_path, measurements, "--out", str(both))) == 0
+
+    def no_backward_pass(*args, **kwargs):
+        raise AssertionError("backward_pass called")
+
+    monkeypatch.setattr(inference, "backward_pass", no_backward_pass)
+    args = infer_args(small_map_path, measurements, "--method", "filter", "--out", str(filter_only))
+    assert main(args) == 0
+    header, *rows = both.read_text().splitlines()
+    assert filter_only.read_text().splitlines() == [header] + [
+        row for row in rows if row.startswith("filter,")
+    ]
+
+
+def test_infer_stdout_equals_out_file(tmp_path, small_map_path, capsys):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("4\n3\n2\n2\n")
+    out = tmp_path / "trace.csv"
+    assert main(infer_args(small_map_path, measurements, "--out", str(out))) == 0
+    capsys.readouterr()
+    assert main(infer_args(small_map_path, measurements, "--out", "-")) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_infer_impossible_measurement_leaves_no_out_file(tmp_path, capsys):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("3\n")  # node 99 cannot be measured as node 3 one step later
+    out = tmp_path / "trace.csv"
+    args = ["infer", "--measurements", str(measurements), "--init-state", "99", "--out", str(out)]
+    assert main(args) == 1
+    assert "step 1: measurement impossible under model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_inference_error_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    sample = experiment.sample_trajectory
+
+    def corrupt(*args, **kwargs):
+        states, measurements = sample(*args, **kwargs)
+        measurements[1, 0] = 0
+        return states, measurements
+
+    monkeypatch.setattr(experiment, "sample_trajectory", corrupt)
+    out = tmp_path / "x.csv"
+    assert main(simulate_args(str(out), **{"--trials": "2"})) == 1
+    assert "trial 0: step 2: measurement 0 out of range" in capsys.readouterr().err
     assert not out.exists()

@@ -149,6 +149,8 @@ def test_accuracy_values(true_states, estimates, expected):
 def test_accuracy_rejects_mismatch_and_empty():
     with pytest.raises(ValueError, match="length mismatch"):
         experiment.accuracy([1, 2], [1, 2, 3])
+    with pytest.raises(ValueError, match=r"length mismatch: shape \(2, 50\) true vs \(3, 50\) estimated"):
+        experiment.accuracy(np.ones((2, 50)), np.ones((3, 50)))
     with pytest.raises(ValueError, match="empty"):
         experiment.accuracy([], [])
 
@@ -169,11 +171,9 @@ def test_single_node_map_is_always_right(tmp_path):
 
 def test_run_experiment_deterministic_and_thread_invariant():
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=20, trials=8, master_seed=42)
-    sequential = experiment.run_experiment(config, workers=1)
-    again = experiment.run_experiment(config, workers=1)
-    threaded = experiment.run_experiment(config, workers=4)
+    sequential = experiment.run_experiment(config)
+    again = experiment.run_experiment(config)
     assert sequential == again
-    assert sequential == threaded
 
 
 def test_run_experiment_statistics_consistent():
@@ -312,7 +312,7 @@ def test_replicate_table1_structure():
 
 def test_replicate_table1_deterministic():
     a = experiment.replicate_table1(master_seed=9, trials=2)
-    b = experiment.replicate_table1(master_seed=9, trials=2, workers=3)
+    b = experiment.replicate_table1(master_seed=9, trials=2)
     assert a == b
 
 

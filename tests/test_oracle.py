@@ -122,7 +122,9 @@ def test_evidence_matches_filter_likelihood(random_instance):
         _, _, evidence = oracle.enumerate_posteriors(
             transition, observation, initial, measurements
         )
-        _, log_likelihood = inference.run_filter(transition, observation, measurements, initial)
+        log_likelihood = inference.forward_pass(
+            transition, observation, measurements, initial
+        ).log_scale_factors.sum()
         assert math.exp(log_likelihood) == pytest.approx(evidence, rel=1e-9)
 
 

@@ -45,6 +45,15 @@ def test_kernel_symmetric_exactly():
                 assert sensor.gaussian_kernel(j, i, sigma) == sensor.gaussian_kernel(i, j, sigma)
 
 
+def test_kernel_on_arrays_equals_scalar_calls():
+    ids = np.arange(1, 31)
+    for sigma in (0.5, 1.0, 2.0, 3.7):
+        grid = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
+        scalar = [[sensor.gaussian_kernel(int(j), int(i), sigma) for i in ids] for j in ids]
+        assert grid.shape == (30, 30)
+        assert np.array_equal(grid, np.array(scalar))
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
 def test_kernel_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
