@@ -52,7 +52,6 @@ from .sensor import (
     apply_gaussian_noise,
     build_confusion_base,
     gaussian_kernel,
-    likelihood_vector,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "gaussian_kernel",
     "generate_default_map",
     "inverse_cdf_sample",
-    "likelihood_vector",
     "load_map",
     "map_estimate",
     "point_mass_belief",

@@ -149,8 +149,8 @@ def _cmd_infer(args) -> int:
     graph, transition, observation = experiment.build_model(args.map, args.sigma)
     with open(args.measurements, encoding="utf-8") as handle:
         measurements = _parse_measurements(handle.read(), graph.num_nodes)
-    if not 1 <= args.init_state <= graph.num_nodes:
-        raise ValueError(f"initial state {args.init_state} out of range 1..{graph.num_nodes}")
+    if not measurements:
+        raise ValueError(f"no measurements in {args.measurements}")
     prior = inference.point_mass_belief(graph.num_nodes, args.init_state)
     forward = inference.forward_pass(transition, observation, measurements, prior)
     beliefs = {}

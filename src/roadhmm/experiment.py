@@ -180,11 +180,7 @@ def accuracy(true_states, estimates):
     truth = np.asarray(true_states)
     estimate = np.asarray(estimates)
     if truth.shape != estimate.shape:
-        if truth.ndim == estimate.ndim == 1:
-            raise ValueError(f"length mismatch: {truth.size} true vs {estimate.size} estimated")
-        raise ValueError(
-            f"length mismatch: shape {truth.shape} true vs {estimate.shape} estimated"
-        )
+        raise ValueError(f"length mismatch: shape {truth.shape} true vs {estimate.shape} estimated")
     if truth.size == 0:
         raise ValueError("empty sequences")
     fractions = np.mean(truth == estimate, axis=-1)
@@ -218,16 +214,12 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
     skipped and ``smoother_estimates`` is None.
     """
     graph, transition, observation = build_model(config.map_source, config.sigma)
-    if not 1 <= config.initial_state <= graph.num_nodes:
-        raise ValueError(
-            f"initial state {config.initial_state} out of range 1..{graph.num_nodes}"
-        )
+    prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
     if config.steps < 1:
         raise ValueError("steps must be >= 1")
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     seeds = tuple(trial_seed(config.master_seed, t) for t in range(config.trials))
-    prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
     cdfs = (np.cumsum(transition, axis=0), np.cumsum(observation, axis=0))
     shape = (config.trials, config.steps)
     states, measurements, filtered = (np.empty(shape, dtype=np.int64) for _ in range(3))

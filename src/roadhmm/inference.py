@@ -75,9 +75,9 @@ def uniform_belief(num_states: int) -> np.ndarray:
 
 
 def point_mass_belief(num_states: int, node: int) -> np.ndarray:
-    """Belief certain of one node id."""
+    """Belief certain of one node id: the one range check of an initial state."""
     if not 1 <= node <= num_states:
-        raise ValueError(f"node {node} out of range 1..{num_states}")
+        raise ValueError(f"initial state {node} out of range 1..{num_states}")
     belief = np.zeros(num_states)
     belief[int(node) - 1] = 1.0
     return belief

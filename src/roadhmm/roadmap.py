@@ -72,7 +72,7 @@ class RoadGraph:
 
         normalized = []
         seen: set[tuple[int, int]] = set()
-        has_out = [False] * (self.num_nodes + 1)
+        sources: set[int] = set()
         for edge in self.edges:
             src, dst, weight = edge
             for node in (src, dst):
@@ -95,11 +95,11 @@ class RoadGraph:
                 raise MapError(f"duplicate edge ({key[0]}, {key[1]})")
             seen.add(key)
             if weight > 0:
-                has_out[key[0]] = True
+                sources.add(key[0])
             normalized.append(Edge(key[0], key[1], weight))
-        for node in range(1, self.num_nodes + 1):
-            if not has_out[node]:
-                raise MapError(f"node {node} has no outgoing edge with positive weight")
+        if len(sources) < self.num_nodes:  # sources lie in 1..num_nodes, so one is missing
+            missing = next(n for n in range(1, self.num_nodes + 1) if n not in sources)
+            raise MapError(f"node {missing} has no outgoing edge with positive weight")
         object.__setattr__(self, "edges", tuple(normalized))
 
     def edge_map(self) -> dict[tuple[int, int], float]:

@@ -16,6 +16,9 @@ import numpy as np
 
 from .roadmap import RoadGraph
 
+#: Probability that a node with neighbors is measured as itself, before noise.
+_DIAGONAL = 0.7
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -28,9 +31,10 @@ class NoiseSpec:
 
 
 def _check_sigma(sigma: float) -> None:
-    # an infinite sigma would flatten the kernel to zero and leave a noise-free model
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    # The kernel divides by 2 sigma^2: it overflows above sigma ~ 1e154 (a flat,
+    # noise-free kernel) and is 0 below ~ 1e-162, where the kernel's peak is 0/0.
+    if not (sigma > 0 and 0.0 < 2.0 * (sigma * sigma) < math.inf):
+        raise ValueError(f"sigma must be positive and finite, and so must 2*sigma^2, got {sigma}")
 
 
 def gaussian_kernel(j, i, sigma: float):
@@ -40,29 +44,22 @@ def gaussian_kernel(j, i, sigma: float):
     """
     _check_sigma(sigma)
     d = np.asarray(j, dtype=float) - np.asarray(i, dtype=float)
-    return np.exp(-(d * d) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # d^2 / (2 sigma^2) = inf is a density of exactly 0
+        return np.exp(-(d * d) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def build_confusion_base(graph: RoadGraph, diagonal_target: float = 0.7) -> np.ndarray:
+def build_confusion_base(graph: RoadGraph) -> np.ndarray:
     """Discrete confusion matrix before noise.
 
-    Column i puts ``diagonal_target`` on i itself and splits the remaining
-    mass uniformly over the nodes adjacent to i in either direction; pairs
-    that are not directly connected get zero. A node with no neighbors
-    observes itself with probability 1.
+    Column i puts 0.7 on i itself and splits the remaining mass uniformly
+    over the nodes adjacent to i in either direction; pairs that are not
+    directly connected get zero. A node with no neighbors observes itself
+    with probability 1.
     """
-    if not 0.5 < diagonal_target < 1.0:
-        raise ValueError("diagonal_target must lie in (0.5, 1)")
-    m = graph.num_nodes
     adjacent = graph.adjacency_matrix()
-    base = np.zeros((m, m))
-    for i in range(m):
-        neighbors = np.flatnonzero(adjacent[:, i])
-        if neighbors.size == 0:
-            base[i, i] = 1.0
-        else:
-            base[i, i] = diagonal_target
-            base[neighbors, i] = (1.0 - diagonal_target) / neighbors.size
+    neighbors = adjacent.sum(axis=0)
+    base = adjacent * ((1.0 - _DIAGONAL) / np.maximum(neighbors, 1))
+    np.fill_diagonal(base, np.where(neighbors > 0, _DIAGONAL, 1.0))
     return base
 
 
@@ -77,11 +74,3 @@ def apply_gaussian_noise(base: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     ids = np.arange(1, base.shape[0] + 1)
     g = gaussian_kernel(ids[:, None], ids[None, :], noise.sigma)
     return (base + g) / (1.0 + g.sum(axis=0))
-
-
-def likelihood_vector(obs: np.ndarray, y: int) -> np.ndarray:
-    """P(measure y | at i) for every state i: row y of the observation matrix."""
-    m = obs.shape[0]
-    if not 1 <= y <= m:
-        raise ValueError(f"measurement {y} out of range 1..{m}")
-    return np.array(obs[int(y) - 1, :], dtype=float)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,13 @@ def test_validate_map_bad_json(tmp_path, capsys):
     path.write_text("{ not json")
     assert main(["validate-map", str(path)]) == 1
     assert "invalid map JSON" in capsys.readouterr().err
+
+
+def test_validate_map_huge_num_nodes_is_rejected_without_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"num_nodes": 10**12, "edges": [{"from": 1, "to": 1, "weight": 1}]}))
+    assert main(["validate-map", str(path)]) == 1
+    assert "error: node 2 has no outgoing edge with positive weight" in capsys.readouterr().err
 
 
 # ---- simulate ----
@@ -167,6 +175,58 @@ def test_simulate_rejects_bad_init(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "infer"])
+def test_bad_initial_state_message_is_pinned(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    if command == "simulate":
+        args = simulate_args(str(out), **{"--init": "999"})
+    else:
+        measurements = tmp_path / "meas.txt"
+        measurements.write_text("1\n2\n")
+        args = ["infer", "--measurements", str(measurements), "--init-state", "999",
+                "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: initial state 999 out of range 1..105\n"
+    assert not out.exists()
+
+
+def sigma_args(command, sigma, tmp_path):
+    """Arguments that run ``command`` with ``sigma``, and the files it would write."""
+    if command == "export-matrices":
+        prefix = tmp_path / "m"
+        args = ["export-matrices", "--sigma", sigma, "--out-prefix", str(prefix)]
+        return args, [tmp_path / f"m_{name}.csv" for name in ("transition", "observation")]
+    out = tmp_path / "x.csv"
+    if command == "simulate":
+        return simulate_args(str(out), **{"--sigma": sigma, "--steps": "5"}), [out]
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("5\n6\n")
+    args = ["infer", "--sigma", sigma, "--measurements", str(measurements), "--init-state", "5",
+            "--out", str(out)]
+    return args, [out]
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "export-matrices"])
+@pytest.mark.parametrize("sigma", ["1e300", "1e-200"])
+def test_sigma_whose_kernel_is_not_finite_exits_1(tmp_path, capsys, command, sigma):
+    args, outputs = sigma_args(command, sigma, tmp_path)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma must be positive and finite")
+    assert f"got {float(sigma)}" in err
+    assert "Traceback" not in err
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "export-matrices"])
+@pytest.mark.parametrize("sigma", ["1e-6", "1e4"])
+def test_extreme_but_finite_sigma_still_runs(tmp_path, capsys, command, sigma):
+    args, outputs = sigma_args(command, sigma, tmp_path)
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert all(path.exists() for path in outputs)
+
+
 def test_simulate_rejects_bad_method(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(simulate_args(str(tmp_path / "x.csv"), **{"--method": "viterbi"}))
@@ -209,7 +269,7 @@ def test_replicate_table1_deterministic(tmp_path):
 def test_export_csv_round_trips_exactly(tmp_path, small_map_path):
     prefix = str(tmp_path / "small")
     assert main(["export-matrices", "--map", small_map_path, "--out-prefix", prefix]) == 0
-    graph = roadmap.load_map(open(small_map_path).read())
+    graph = roadmap.load_map(Path(small_map_path).read_text())
     transition = roadmap.build_transition_matrix(graph)
     reimported = matrixio.read_matrix_csv(f"{prefix}_transition.csv")
     assert np.array_equal(reimported, transition)
@@ -231,7 +291,7 @@ def test_export_pgm_format(tmp_path):
     prefix = str(tmp_path / "default")
     assert main(["export-matrices", "--format", "pgm", "--out-prefix", prefix]) == 0
     for name in ("transition", "observation"):
-        lines = open(f"{prefix}_{name}.pgm").read().splitlines()
+        lines = Path(f"{prefix}_{name}.pgm").read_text().splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "105 105"
         assert lines[2] == "255"
@@ -382,6 +442,18 @@ def test_infer_rejects_non_finite_sigma(tmp_path, small_map_path, capsys, sigma)
             str(measurements), "--init-state", "1", "--out", str(out)]
     assert main(args) == 1
     assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_infer_rejects_file_without_measurements(tmp_path, small_map_path, capsys, text):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text(text)
+    out = tmp_path / "trace.csv"
+    args = ["infer", "--map", small_map_path, "--measurements", str(measurements),
+            "--init-state", "1", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: no measurements in {measurements}\n"
     assert not out.exists()
 
 

@@ -44,6 +44,18 @@ def test_load_rejects_zero_weight_only_node():
         roadmap.load_map(text)
 
 
+def test_load_names_first_node_without_outgoing_edge():
+    text = map_text(6, [(1, 2, 1.0), (2, 1, 1.0), (5, 1, 1.0), (3, 4, 0.0)])
+    with pytest.raises(MapError, match="^node 3 has no outgoing edge with positive weight$"):
+        roadmap.load_map(text)
+
+
+def test_load_rejects_huge_num_nodes_without_allocating():
+    # a per-node table would need terabytes here; the check must scale with the edges
+    with pytest.raises(MapError, match="^node 2 has no outgoing edge with positive weight$"):
+        roadmap.load_map(map_text(10**12, [(1, 1, 1)]))
+
+
 def test_load_rejects_negative_weight():
     with pytest.raises(MapError, match=r"negative weight .* \(1, 2\)"):
         roadmap.load_map(map_text(2, [(1, 2, -0.5), (2, 1, 1.0)]))
