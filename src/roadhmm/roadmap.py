@@ -14,8 +14,9 @@ the weight of (j -> i) is independent of the weight of (i -> j).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,10 @@ class RoadGraph:
                     )
             if not isinstance(weight, (int, float, np.floating)) or isinstance(weight, bool):
                 raise MapError(f"weight {weight!r} on edge ({src}, {dst}) is not a number")
-            weight = float(weight)
+            try:
+                weight = float(weight)
+            except OverflowError:  # an integer beyond the float range
+                weight = math.inf if weight > 0 else -math.inf
             if not np.isfinite(weight):
                 raise MapError(f"non-finite weight {weight} on edge ({src}, {dst})")
             if weight < 0:
@@ -154,64 +158,61 @@ def build_transition_matrix(graph: RoadGraph) -> np.ndarray:
 
     Entry [i-1, j-1] = weight(j -> i) / total outgoing weight of j, so each
     column sums to 1 and is zero exactly where no (j -> i) edge exists.
+    Raises MapError if a positive weight would get probability 0: its node's
+    total overflows, or the weight is lost to rounding against it.
     """
-    m = graph.num_nodes
-    weights = np.zeros((m, m))
-    for src, dst, weight in graph.edges:
-        weights[dst - 1, src - 1] = weight
-    return weights / weights.sum(axis=0)
+    src, dst, weight = (np.array(column) for column in zip(*graph.edges))
+    weights = np.zeros((graph.num_nodes, graph.num_nodes))
+    weights[dst - 1, src - 1] = weight
+    with np.errstate(over="ignore"):
+        totals = weights.sum(axis=0)
+    matrix = weights / totals
+    lost = np.flatnonzero((weight > 0) & (matrix[dst - 1, src - 1] == 0))
+    if lost.size:
+        k = lost[0]
+        raise MapError(
+            f"weight {weight[k]} on edge ({src[k]}, {dst[k]}) rounds to probability 0 "
+            f"against node {src[k]}'s total outgoing weight {totals[src[k] - 1]}"
+        )
+    return matrix
 
 
 def generate_default_map(
-    num_nodes: int = DEFAULT_NUM_NODES,
-    main_road_nodes: Iterable[int] = MAIN_ROAD_NODES,
-    seed: int = DEFAULT_MAP_SEED,
+    num_nodes: int = DEFAULT_NUM_NODES, seed: int = DEFAULT_MAP_SEED
 ) -> RoadGraph:
     """Procedurally generate a city-like road graph; deterministic per seed.
 
-    Main-road nodes form a one-way loop (dominant straight-ahead weight,
-    lower-weight turns onto side streets, smallest-weight parking self loop).
-    Side nodes sit on a shuffled two-way ring with random chords, so driving
-    on in any direction is roughly equally likely and parking somewhat less.
-    Every node carries a self loop.
+    Main-road nodes (``MAIN_ROAD_NODES``) form a one-way loop (dominant
+    straight-ahead weight, lower-weight turns onto side streets,
+    smallest-weight parking self loop). The other nodes, at least three, sit
+    on a shuffled two-way ring with random chords, so driving on in any
+    direction is roughly equally likely and parking somewhat less. Every node
+    carries a self loop.
     """
-    if not _is_int(num_nodes) or num_nodes < 2:
-        raise MapError("num_nodes must be an integer >= 2")
-    main = sorted(int(n) for n in main_road_nodes)
-    if len(set(main)) != len(main):
-        raise MapError("main_road_nodes contains duplicates")
-    if any(not 1 <= n <= num_nodes for n in main):
-        raise MapError(f"main_road_nodes must lie within 1..{num_nodes}")
-    main_set = set(main)
-    side = [n for n in range(1, num_nodes + 1) if n not in main_set]
+    if not _is_int(num_nodes) or num_nodes < 12:
+        raise MapError("num_nodes must be an integer >= 12")
+    main = sorted(MAIN_ROAD_NODES)
+    side = [n for n in range(1, num_nodes + 1) if n not in MAIN_ROAD_NODES]
     rng = np.random.default_rng(seed)
     edges: dict[tuple[int, int], float] = {}
 
     def add(src: int, dst: int, weight_range: tuple[float, float]) -> None:
         edges[(src, dst)] = float(rng.uniform(*weight_range))
 
-    # One-way main loop 1 -> 2 -> ... -> 9 -> 1 (in sorted order).
-    if len(main) >= 2:
-        for a, b in zip(main, main[1:] + main[:1]):
-            add(a, b, _STRAIGHT_WEIGHT)
+    # One-way main loop 1 -> 2 -> ... -> 9 -> 1.
+    for a, b in zip(main, main[1:] + main[:1]):
+        add(a, b, _STRAIGHT_WEIGHT)
 
     # Two-way ring over side nodes in shuffled order.
     order = np.array(side, dtype=int)
     rng.shuffle(order)
-    if len(order) == 2:
-        ring_pairs = [(int(order[0]), int(order[1]))]
-    elif len(order) >= 3:
-        ring_pairs = [
-            (int(order[i]), int(order[(i + 1) % len(order)])) for i in range(len(order))
-        ]
-    else:
-        ring_pairs = []
-    for a, b in ring_pairs:
+    ring = order.tolist()
+    for a, b in zip(ring, ring[1:] + ring[:1]):
         add(a, b, _SIDE_WEIGHT)
         add(b, a, _SIDE_WEIGHT)
 
     # Random two-way chords between side streets.
-    target_chords = len(side) // 2 if len(side) >= 3 else 0
+    target_chords = len(side) // 2
     added = 0
     attempts = 0
     while added < target_chords and attempts < 20 * target_chords + 20:
@@ -224,18 +225,16 @@ def generate_default_map(
         add(b, a, _SIDE_WEIGHT)
         added += 1
 
-    # Each main node joins one or two side streets, both directions.
-    if side:
-        for m in main:
-            k = min(_TURNS_PER_MAIN_NODE, len(side))
-            for t in rng.choice(len(side), size=k, replace=False):
-                s = side[int(t)]
-                add(m, s, _TURN_WEIGHT)
-                add(s, m, _SIDE_WEIGHT)
+    # Each main node joins two side streets, both directions.
+    for m in main:
+        for t in rng.choice(len(side), size=_TURNS_PER_MAIN_NODE, replace=False):
+            s = side[int(t)]
+            add(m, s, _TURN_WEIGHT)
+            add(s, m, _SIDE_WEIGHT)
 
     # Parking self loops, smallest weight class per node.
     for n in range(1, num_nodes + 1):
-        add(n, n, _MAIN_SELF_WEIGHT if n in main_set else _SIDE_SELF_WEIGHT)
+        add(n, n, _MAIN_SELF_WEIGHT if n in MAIN_ROAD_NODES else _SIDE_SELF_WEIGHT)
 
     return RoadGraph(
         num_nodes=int(num_nodes),

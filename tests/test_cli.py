@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,31 @@ def test_validate_map_ok(default_map_path, capsys):
     assert "zero pattern" in out
 
 
+def test_validate_map_prints_its_full_report(default_map_path, capsys):
+    assert main(["validate-map", default_map_path]) == 0
+    assert capsys.readouterr().out == (
+        "105 nodes, 438 edges\n"
+        "max column-sum deviation: 2.220e-16\n"
+        "zero pattern: 438 positive entries match 438 positive-weight edges\n"
+        "105 nodes, columns stochastic\n"
+    )
+
+
+def test_validate_map_reports_column_that_is_not_stochastic(small_map_path, capsys, monkeypatch):
+    build = roadmap.build_transition_matrix
+
+    def off_by_a_tenth(graph):
+        matrix = build(graph)
+        matrix[:, 2] *= 0.9
+        return matrix
+
+    monkeypatch.setattr(roadmap, "build_transition_matrix", off_by_a_tenth)
+    assert main(["validate-map", small_map_path]) == 1
+    out = capsys.readouterr().out
+    assert "max column-sum deviation: 1.000e-01\n" in out
+    assert out.endswith("4 nodes, columns NOT stochastic\n")
+
+
 def test_validate_map_negative_weight(tmp_path, capsys):
     bad = dict(SMALL_MAP, edges=SMALL_MAP["edges"] + [{"from": 1, "to": 3, "weight": -1.0}])
     path = tmp_path / "bad.json"
@@ -88,6 +114,55 @@ def test_validate_map_huge_num_nodes_is_rejected_without_allocating(tmp_path, ca
     path.write_text(json.dumps({"num_nodes": 10**12, "edges": [{"from": 1, "to": 1, "weight": 1}]}))
     assert main(["validate-map", str(path)]) == 1
     assert "error: node 2 has no outgoing edge with positive weight" in capsys.readouterr().err
+
+
+def degenerate_map(weight_1_2):
+    return {
+        "num_nodes": 2,
+        "edges": [
+            {"from": 1, "to": 1, "weight": 1e308},
+            {"from": 1, "to": 2, "weight": weight_1_2},
+            {"from": 2, "to": 1, "weight": 1.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "weight_1_2,message",
+    [
+        (1e308, "weight 1e+308 on edge (1, 1) rounds to probability 0"),
+        (5e-324, "weight 5e-324 on edge (1, 2) rounds to probability 0"),
+        (10**400, "non-finite weight inf on edge (1, 2)"),
+    ],
+    ids=["overflow", "lost-weight", "huge-integer"],
+)
+@pytest.mark.parametrize("command", ["validate-map", "simulate", "infer", "export-matrices"])
+def test_map_whose_weight_would_vanish_is_rejected_everywhere(
+    tmp_path, capsys, command, weight_1_2, message
+):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(degenerate_map(weight_1_2)))
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("1\n2\n")
+    out = tmp_path / "out"
+    args = {
+        "validate-map": ["validate-map", str(path)],
+        "simulate": ["simulate", "--map", str(path), "--init", "1", "--out", str(out)],
+        "infer": [
+            "infer", "--map", str(path), "--measurements", str(measurements),
+            "--init-state", "1", "--out", str(out),
+        ],
+        "export-matrices": ["export-matrices", "--map", str(path), "--out-prefix", str(out)],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "meas.txt"]
 
 
 # ---- simulate ----

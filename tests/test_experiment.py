@@ -131,6 +131,11 @@ def test_sample_trajectory_rejects_bad_initial(default_transition, default_obser
         experiment.sample_trajectory(default_transition, default_observation, 0, 5, seed=1)
 
 
+def test_sample_trajectory_rejects_negative_steps(default_transition, default_observation):
+    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+        experiment.sample_trajectory(default_transition, default_observation, 5, -1, seed=1)
+
+
 # ---- accuracy ----
 
 

@@ -229,6 +229,25 @@ def test_smooth_rejects_mismatched_messages(two_state):
         inference.smooth(forward, backward)
 
 
+def test_smooth_rejects_messages_with_disjoint_support():
+    forward = inference.ScaledMessages(np.array([[0.5, 0.5], [1.0, 0.0]]), np.zeros(2))
+    backward = inference.ScaledMessages(np.array([[0.5, 0.5], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(InferenceError, match="^step 2: inconsistent forward/backward messages$"):
+        inference.smooth(forward, backward)
+
+
+def test_smooth_names_trial_of_inconsistent_batch_messages():
+    forward = np.ones((2, 2, 3)) / 2
+    forward[1, :, 2] = [1.0, 0.0]
+    backward = np.ones((2, 2, 3)) / 2
+    backward[1, :, 2] = [0.0, 1.0]
+    with pytest.raises(InferenceError, match="^trial 2: step 2: inconsistent forward/backward"):
+        inference.smooth(
+            inference.ScaledMessages(forward, np.zeros((2, 3))),
+            inference.ScaledMessages(backward, np.zeros((2, 3))),
+        )
+
+
 def test_constancy_of_evidence(two_state, random_instance):
     rng = np.random.default_rng(23)
     instances = [two_state[:4]] + [

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,24 +69,38 @@ def test_load_rejects_duplicate_edge():
         roadmap.load_map(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json at all {",
-        "[1, 2, 3]",
-        '{"edges": []}',
+MALFORMED_DOCUMENTS = [
+    ("not json at all {", "invalid map JSON"),
+    ("[1, 2, 3]", "map file must be a JSON object"),
+    ('{"edges": []}', "map file must define 'num_nodes' and 'edges'"),
+    (
         '{"num_nodes": 2, "edges": [{"from": 1, "to": 2}]}',
-        '{"num_nodes": 0, "edges": []}',
-    ],
+        "edge #0 must be an object with 'from', 'to' and 'weight'",
+    ),
+    ('{"num_nodes": 0, "edges": []}', "num_nodes must be a positive integer"),
+    (
+        '{"num_nodes": 2, "edges": [{"from": 1.5, "to": 2, "weight": 1}]}',
+        "node id 1.5 is not an integer",
+    ),
+    (
+        '{"num_nodes": 2, "edges": [{"from": 1, "to": 2, "weight": "heavy"}]}',
+        "weight 'heavy' on edge (1, 2) is not a number",
+    ),
+    ('{"num_nodes": 2, "edges": {}}', "'edges' must be a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message", MALFORMED_DOCUMENTS, ids=[text for text, _ in MALFORMED_DOCUMENTS]
 )
-def test_load_rejects_malformed_documents(text):
-    with pytest.raises(MapError):
+def test_load_rejects_malformed_documents(text, message):
+    with pytest.raises(MapError, match=re.escape(message)):
         roadmap.load_map(text)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 44])
 def test_save_load_round_trip(seed):
-    graph = roadmap.generate_default_map(num_nodes=30, main_road_nodes=range(1, 6), seed=seed)
+    graph = roadmap.generate_default_map(num_nodes=30, seed=seed)
     assert roadmap.load_map(roadmap.save_map(graph)) == graph
 
 
@@ -120,7 +136,7 @@ def test_proportional_normalization():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_columns_stochastic(seed):
-    graph = roadmap.generate_default_map(num_nodes=40, main_road_nodes=range(1, 7), seed=seed)
+    graph = roadmap.generate_default_map(num_nodes=40, seed=seed)
     matrix = roadmap.build_transition_matrix(graph)
     assert np.all(matrix >= 0.0)
     assert np.all(matrix <= 1.0)
@@ -129,7 +145,7 @@ def test_columns_stochastic(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_zero_pattern_matches_edges(seed):
-    graph = roadmap.generate_default_map(num_nodes=25, main_road_nodes=range(1, 5), seed=seed)
+    graph = roadmap.generate_default_map(num_nodes=25, seed=seed)
     matrix = roadmap.build_transition_matrix(graph)
     pattern = np.zeros_like(matrix, dtype=bool)
     for src, dst, weight in graph.edges:
@@ -139,7 +155,7 @@ def test_zero_pattern_matches_edges(seed):
 
 @pytest.mark.parametrize("node,scale", [(1, 3.5), (7, 0.25), (20, 123.0)])
 def test_scaling_outgoing_weights_leaves_column_unchanged(node, scale):
-    graph = roadmap.generate_default_map(num_nodes=20, main_road_nodes=range(1, 4), seed=11)
+    graph = roadmap.generate_default_map(num_nodes=20, seed=11)
     matrix = roadmap.build_transition_matrix(graph)
     scaled = RoadGraph(
         graph.num_nodes,
@@ -152,7 +168,54 @@ def test_scaling_outgoing_weights_leaves_column_unchanged(node, scale):
     assert_allclose(rescaled[:, node - 1], matrix[:, node - 1], atol=1e-12)
 
 
+def overflow_graph(weight_1_2):
+    # node 1's outgoing weights sum beyond the float range unless weight_1_2 is tiny
+    return RoadGraph(2, (Edge(1, 1, 1e308), Edge(1, 2, weight_1_2), Edge(2, 1, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "weight_1_2,message",
+    [
+        (
+            1e308,
+            "weight 1e+308 on edge (1, 1) rounds to probability 0 "
+            "against node 1's total outgoing weight inf",
+        ),
+        (
+            5e-324,
+            "weight 5e-324 on edge (1, 2) rounds to probability 0 "
+            "against node 1's total outgoing weight 1e+308",
+        ),
+    ],
+    ids=["overflow", "lost-weight"],
+)
+def test_positive_weight_that_would_get_probability_zero_is_rejected(weight_1_2, message):
+    with pytest.raises(MapError, match=f"^{re.escape(message)}$"):
+        roadmap.build_transition_matrix(overflow_graph(weight_1_2))
+
+
 # ---- generate_default_map ----
+
+
+# sha256 of save_map(generate_default_map(...)); a change to the generator's RNG call sequence
+# changes them
+@pytest.mark.parametrize(
+    "kwargs,digest",
+    [
+        (
+            {"num_nodes": 12, "seed": 5},
+            "f696c16a3bb32224d1a0d89c432445c95c072f4b29563e13064c4a523920d36b",
+        ),
+        (
+            {"num_nodes": 3000, "seed": 0},
+            "a4803bfa091a7923e0962196be468350a12f963d4198bda511bfc1f325a80b18",
+        ),
+        ({}, "a9663a780cdfa100d186260b398cf0eaa19d0d1d3af3f0965d3de2f0d09d1128"),
+    ],
+)
+def test_generated_map_bytes_are_pinned(kwargs, digest):
+    text = roadmap.save_map(roadmap.generate_default_map(**kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generator_deterministic():
@@ -212,9 +275,7 @@ def test_generated_columns_stochastic(default_transition):
     "kwargs",
     [
         {"num_nodes": 1},
-        {"num_nodes": 10, "main_road_nodes": [0]},
-        {"num_nodes": 10, "main_road_nodes": [11]},
-        {"num_nodes": 10, "main_road_nodes": [1, 1, 2]},
+        {"num_nodes": 11},
     ],
 )
 def test_generator_rejects_invalid_parameters(kwargs):
@@ -222,12 +283,8 @@ def test_generator_rejects_invalid_parameters(kwargs):
         roadmap.generate_default_map(seed=0, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "num_nodes,main",
-    [(2, [1]), (2, []), (3, []), (3, [1, 2, 3]), (4, [2]), (12, range(1, 10))],
-)
-def test_generator_handles_small_maps(num_nodes, main):
-    graph = roadmap.generate_default_map(num_nodes=num_nodes, main_road_nodes=main, seed=5)
+def test_generator_handles_small_maps():
+    graph = roadmap.generate_default_map(num_nodes=12, seed=5)
     matrix = roadmap.build_transition_matrix(graph)
     assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12
 
