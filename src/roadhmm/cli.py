@@ -8,6 +8,7 @@ All output is deterministic given the flags.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 
@@ -20,6 +21,9 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 
 RESULTS_HEADER = "trial,k,true_state,measured,filter_estimate,smoother_estimate"
+
+#: A measurement token: an optional sign and ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,6 +138,8 @@ def _parse_measurements(text: str, num_nodes: int) -> list[int]:
         if not token:
             continue
         try:
+            if not _INTEGER.fullmatch(token):  # int() would also take "1_0" and non-ASCII digits
+                raise ValueError(token)
             value = int(token)
         except ValueError:
             raise ValueError(f"line {lineno}: invalid measurement {token!r}") from None

@@ -54,9 +54,6 @@ class ScaledMessages:
     vectors: np.ndarray
     log_scale_factors: np.ndarray
 
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -68,10 +65,6 @@ class InferenceResult:
     filtered: np.ndarray
     smoothed: np.ndarray
     log_likelihood: float | np.ndarray
-
-
-def uniform_belief(num_states: int) -> np.ndarray:
-    return np.full(num_states, 1.0 / num_states)
 
 
 def point_mass_belief(num_states: int, node: int) -> np.ndarray:

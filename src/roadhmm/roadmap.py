@@ -106,9 +106,6 @@ class RoadGraph:
             raise MapError(f"node {missing} has no outgoing edge with positive weight")
         object.__setattr__(self, "edges", tuple(normalized))
 
-    def edge_map(self) -> dict[tuple[int, int], float]:
-        return {(e.src, e.dst): e.weight for e in self.edges}
-
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency, symmetric over edge direction, self loops excluded."""
         adj = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
@@ -127,7 +124,7 @@ def load_map(text: str) -> RoadGraph:
     """Parse a map file: {"num_nodes": M, "edges": [{"from", "to", "weight"}, ...]}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise MapError(f"invalid map JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MapError("map file must be a JSON object")

@@ -2,9 +2,11 @@
 
 The base matrix concentrates probability on the true position and spreads
 the rest over graph neighbors. The Gaussian kernel over node-index distance
-is then superimposed on every column and the column renormalized, which
-leaves every entry strictly positive (no measurement can deadlock the
-filter). Matrices are column-stochastic: entry [j-1, i-1] = P(measure j | at i).
+is then superimposed on every column and the column renormalized. Far from
+the diagonal the kernel underflows to exactly 0 (from index distance 39 at
+sigma = 1), so an entry whose base is also 0 stays 0: a measurement there is
+impossible under the model. Matrices are column-stochastic:
+entry [j-1, i-1] = P(measure j | at i).
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def apply_gaussian_noise(base: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """Superimpose the index Gaussian on every column and renormalize.
 
     Column i becomes (base[:, i] + g[:, i]) / (1 + sum_j g[j, i]) with
-    g[j, i] = gaussian_kernel(j, i, sigma); columns still sum to 1 and every
-    entry is strictly positive.
+    g[j, i] = gaussian_kernel(j, i, sigma); columns still sum to 1. An entry
+    is 0 where base is 0 and the kernel has underflowed to 0.
     """
     base = np.asarray(base, dtype=float)
     ids = np.arange(1, base.shape[0] + 1)

@@ -109,6 +109,23 @@ def test_validate_map_bad_json(tmp_path, capsys):
     assert "invalid map JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate-map", "simulate"])
+def test_deeply_nested_map_json_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    out = tmp_path / "out.csv"
+    args = {
+        "validate-map": ["validate-map", str(path)],
+        "simulate": ["simulate", "--map", str(path), "--init", "1", "--out", str(out)],
+    }[command]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid map JSON: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_validate_map_huge_num_nodes_is_rejected_without_allocating(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"num_nodes": 10**12, "edges": [{"from": 1, "to": 1, "weight": 1}]}))
@@ -491,21 +508,25 @@ def test_infer_out_of_range_measurement_names_line(tmp_path, small_map_path, cap
 
 
 def test_infer_invalid_token_names_line(tmp_path, small_map_path, capsys):
-    measurements = tmp_path / "meas.txt"
-    measurements.write_text("1\nfoo\n")
-    code = main(
-        [
-            "infer",
-            "--map",
-            small_map_path,
-            "--measurements",
-            str(measurements),
-            "--init-state",
-            "1",
-        ]
-    )
-    assert code == 1
-    assert "line 2" in capsys.readouterr().err
+    # int() alone would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    for token in ("foo", "1_0", "\u0663"):
+        measurements = tmp_path / "meas.txt"
+        measurements.write_text(f"1\n{token}\n", encoding="utf-8")
+        code = main(
+            [
+                "infer",
+                "--map",
+                small_map_path,
+                "--measurements",
+                str(measurements),
+                "--init-state",
+                "1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert f"invalid measurement {token!r}" in err
 
 
 @pytest.mark.parametrize("sigma", ["inf", "nan"])

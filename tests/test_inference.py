@@ -138,7 +138,7 @@ def test_forward_pass_uniform_model_stays_uniform():
     transition = np.full((m, m), 1.0 / m)
     observation = np.full((m, m), 1.0 / m)
     messages = inference.forward_pass(
-        transition, observation, (1, 3, 2, 4), inference.uniform_belief(m)
+        transition, observation, (1, 3, 2, 4), np.full(m, 1.0 / m)
     )
     assert_allclose(messages.vectors, np.full((4, m), 1.0 / m), atol=1e-15)
 
@@ -175,7 +175,7 @@ def test_backward_pass_worked_example(two_state):
 
 def test_backward_pass_empty():
     messages = inference.backward_pass(np.eye(3), np.eye(3), ())
-    assert len(messages) == 0
+    assert messages.vectors.shape[0] == 0
 
 
 def test_backward_pass_uniform_model_stays_uniform():
@@ -418,7 +418,3 @@ def test_point_mass_belief():
     assert_allclose(inference.point_mass_belief(4, 3), [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         inference.point_mass_belief(4, 5)
-
-
-def test_uniform_belief_sums_to_one():
-    assert inference.uniform_belief(7).sum() == pytest.approx(1.0, abs=1e-15)

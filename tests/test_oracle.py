@@ -76,7 +76,7 @@ def test_uniform_model_gives_uniform_beliefs():
     m = 3
     uniform = np.full((m, m), 1.0 / m)
     filtered, smoothed, _ = oracle.enumerate_posteriors(
-        uniform, uniform, inference.uniform_belief(m), (1, 2, 3)
+        uniform, uniform, np.full(m, 1.0 / m), (1, 2, 3)
     )
     assert_allclose(filtered, np.full((3, m), 1.0 / m), atol=1e-12)
     assert_allclose(smoothed, np.full((3, m), 1.0 / m), atol=1e-12)

@@ -19,6 +19,10 @@ def map_text(num_nodes, edges):
     )
 
 
+def edge_weights(graph):
+    return {(e.src, e.dst): e.weight for e in graph.edges}
+
+
 # ---- load_map ----
 
 
@@ -26,7 +30,7 @@ def test_load_minimal_cycle():
     graph = roadmap.load_map(map_text(2, [(1, 2, 1.0), (2, 1, 1.0)]))
     assert graph.num_nodes == 2
     assert len(graph.edges) == 2
-    assert graph.edge_map() == {(1, 2): 1.0, (2, 1): 1.0}
+    assert edge_weights(graph) == {(1, 2): 1.0, (2, 1): 1.0}
 
 
 def test_load_rejects_node_out_of_range():
@@ -231,7 +235,7 @@ def test_generator_seeds_differ():
 
 def test_default_map_shape(default_graph):
     assert default_graph.num_nodes == 105
-    weights = default_graph.edge_map()
+    weights = edge_weights(default_graph)
     assert all((n, n) in weights and weights[(n, n)] > 0 for n in range(1, 106))
 
 
@@ -242,7 +246,7 @@ def test_default_map_node1_ordering(default_transition):
 
 def test_main_road_ordering_holds_for_every_main_node(default_graph, default_transition):
     main = sorted(roadmap.MAIN_ROAD_NODES)
-    weights = default_graph.edge_map()
+    weights = edge_weights(default_graph)
     for pos, node in enumerate(main):
         straight = main[(pos + 1) % len(main)]
         straight_p = default_transition[straight - 1, node - 1]
@@ -258,7 +262,7 @@ def test_main_road_ordering_holds_for_every_main_node(default_graph, default_tra
 
 
 def test_side_nodes_have_roughly_equal_directions(default_graph):
-    weights = default_graph.edge_map()
+    weights = edge_weights(default_graph)
     side = [n for n in range(1, 106) if n not in roadmap.MAIN_ROAD_NODES]
     for node in side:
         out = [w for (s, d), w in weights.items() if s == node and d != node]

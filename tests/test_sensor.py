@@ -211,6 +211,28 @@ def test_noise_strictly_positive_within_float_range(default_base):
     assert np.all(out[near] > 0.0)
 
 
+@pytest.mark.parametrize("sigma,zeros,first_zero_distance", [(1.0, 4282, 39), (2.0, 734, 78)])
+def test_noise_zeros_are_base_zeros_where_kernel_underflows(
+    default_base, sigma, zeros, first_zero_distance
+):
+    out = sensor.apply_gaussian_noise(default_base, NoiseSpec(sigma))
+    ids = np.arange(1, out.shape[0] + 1)
+    kernel = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
+    distance = np.abs(ids[:, None] - ids[None, :])
+    assert out.size == 11025
+    assert np.count_nonzero(out == 0.0) == zeros
+    assert np.array_equal(out == 0.0, (default_base == 0.0) & (kernel == 0.0))
+    assert distance[kernel == 0.0].min() == first_zero_distance
+    assert np.all(kernel[distance < first_zero_distance] > 0.0)
+
+
+def test_noise_smallest_positive_entry_is_subnormal(default_base):
+    out = sensor.apply_gaussian_noise(default_base, NoiseSpec(1.0))
+    smallest = out[out > 0.0].min()
+    assert smallest < np.finfo(float).tiny
+    assert smallest == pytest.approx(5.5e-315, rel=0.01)
+
+
 def test_noise_minimum_entries_grow_with_sigma():
     # holds while sigma stays below the index distances that carry each
     # column's minimum (the density at distance d grows with sigma only for
