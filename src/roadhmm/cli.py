@@ -44,8 +44,7 @@ def _output(path: str | None):
 
 
 def _cmd_validate_map(args) -> int:
-    with open(args.path, encoding="utf-8") as handle:
-        graph = roadmap.load_map(handle.read())
+    graph = roadmap.read_map(args.path)
     matrix = roadmap.build_transition_matrix(graph)
     deviation = float(np.abs(matrix.sum(axis=0) - 1.0).max())
     # the build keeps each positive weight positive, so the two counts agree
@@ -97,13 +96,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_replicate_table1(args) -> int:
     rows = experiment.replicate_table1(master_seed=args.seed, trials=args.trials)
-    print(f"{'scenario':<20}{'filter':>10}{'smoother':>10}   reference (filter/smoother)")
+    table = [f"{'scenario':<20}{'filter':>10}{'smoother':>10}   reference (filter/smoother)"]
     csv_lines = [
         "initial_state,sigma,steps,trials,filter_mean,filter_std,"
         "smoother_mean,smoother_std,reference_filter,reference_smoother"
     ]
     for row in rows:
-        print(
+        table.append(
             f"{row.label:<20}{row.result.filter_mean:>10.4f}"
             f"{row.result.smoother_mean:>10.4f}   "
             f"{row.reference_filter:.2f}/{row.reference_smoother:.2f}"
@@ -114,6 +113,7 @@ def _cmd_replicate_table1(args) -> int:
             f"{row.result.smoother_mean!r},{row.result.smoother_std!r},"
             f"{row.reference_filter},{row.reference_smoother}"
         )
+    print("\n".join(table), file=sys.stderr if args.out == "-" else sys.stdout)
     if args.out:
         with _output(args.out) as out:
             out.write("\n".join(csv_lines) + "\n")
@@ -152,7 +152,11 @@ def _parse_measurements(text: str, num_nodes: int) -> list[int]:
 def _cmd_infer(args) -> int:
     graph, transition, observation = experiment.build_model(args.map, args.sigma)
     with open(args.measurements, encoding="utf-8") as handle:
-        measurements = _parse_measurements(handle.read(), graph.num_nodes)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"measurement file {args.measurements}: {exc}") from None
+    measurements = _parse_measurements(text, graph.num_nodes)
     if not measurements:
         raise ValueError(f"no measurements in {args.measurements}")
     prior = inference.point_mass_belief(graph.num_nodes, args.init_state)

@@ -123,10 +123,10 @@ def inverse_cdf_sample(cdf, u):
     order; zero-probability states are never selected. Given N such columns
     side by side, (M, N), and N uniforms, it returns N node ids. Counting the
     entries <= u equals ``searchsorted(side="right")`` on a non-decreasing
-    column; the cap at M keeps a u beyond a rounded-down total in range.
+    column; a u at or beyond a rounded-down total is clamped just below it.
     """
     cdf = np.asarray(cdf)
-    ids = np.minimum((cdf <= u).sum(axis=0), len(cdf) - 1) + 1
+    ids = (cdf <= np.minimum(u, np.nextafter(cdf[-1], 0.0))).sum(axis=0) + 1
     return int(ids) if ids.ndim == 0 else ids
 
 
@@ -192,8 +192,7 @@ def build_model(map_source: str, sigma: float):
     if map_source == "default":
         graph = roadmap.generate_default_map()
     else:
-        with open(map_source, encoding="utf-8") as handle:
-            graph = roadmap.load_map(handle.read())
+        graph = roadmap.read_map(map_source)
     transition = roadmap.build_transition_matrix(graph)
     base = sensor.build_confusion_base(graph)
     observation = sensor.apply_gaussian_noise(base, sensor.NoiseSpec(sigma))

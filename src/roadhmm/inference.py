@@ -7,14 +7,13 @@ The smoother's final elementwise product cancels the factors, so results
 are identical to the unscaled recursions up to floating point.
 
 The passes, the smoother and map_estimate take one sequence or a batch of N
-independent ones. One sequence has measurements of shape (T,) and beliefs
-of shape (M,). A batch
-has measurements (T, N) and beliefs (M, N), one column per sequence, so a
-step of the whole batch is one product A @ B followed by N column
-normalizers. A single sequence runs as the batch of one, where that product
-is a matrix-vector product. For N > 1 the matrix-matrix product may round
-differently in the last bit, so batched beliefs can differ from
-one-sequence beliefs by an ulp.
+independent ones; every belief and prior keeps the state axis last. One
+sequence has measurements (T,), a prior (M,) and beliefs (T, M); a batch has
+measurements (T, N), a prior (N, M) or a shared (M,), and beliefs (T, N, M).
+A step of the whole batch is one product A @ B over (M, N) columns followed
+by N column normalizers; one sequence runs as the batch of one, a
+matrix-vector product. For N > 1 the matrix-matrix product may round
+differently in the last bit, so batched beliefs can differ by an ulp.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 class InferenceError(ValueError):
     """A measurement is out of range or has zero probability under the model.
 
-    ``step`` (1-based) and ``trial`` (the batch column) say where, when
+    ``step`` (1-based) and ``trial`` (the index in the batch) say where, when
     known; the message then starts ``trial i: step k:``.
     """
 
@@ -48,7 +47,7 @@ class ScaledMessages:
     vectors[t] * exp(cumulative factors): prefix sums for a forward pass,
     suffix sums for a backward pass. The cumulative forward factor at step k
     equals log p(y_1..y_k). Shapes are (T, M) and (T,) for one sequence,
-    (T, M, N) and (T, N) for a batch.
+    (T, N, M) and (T, N) for a batch.
     """
 
     vectors: np.ndarray
@@ -103,29 +102,24 @@ def _observation_rows(obs: np.ndarray, measurements) -> tuple[np.ndarray, bool]:
 
 
 def _messages(vectors: np.ndarray, logs: np.ndarray, batched: bool) -> ScaledMessages:
-    """Messages from (T, N, M) storage: a (T, M, N) view for a batch, (T, M) for one sequence.
-
-    Storing each trial's belief contiguously lets sums and argmaxes over the
-    state axis run along rows without copying.
-    """
-    if batched:
-        return ScaledMessages(vectors.transpose(0, 2, 1), logs)
-    return ScaledMessages(vectors[:, 0, :], logs[:, 0])
+    """Messages from (T, N, M) storage: the storage itself for a batch, (T, M) for one sequence."""
+    return ScaledMessages(vectors, logs) if batched else ScaledMessages(vectors[:, 0], logs[:, 0])
 
 
 def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     """Scaled forward recursion; vectors equal the filter beliefs.
 
     Each step predicts with A, weights by the likelihood of the measurement
-    and renormalizes, for all N columns at once. For a batch, ``initial`` is
-    (M, N), or one (M,) prior shared by all N.
+    and renormalizes, for all N sequences at once. For a batch, ``initial``
+    is (N, M), or one (M,) prior shared by all N.
     """
     A = np.asarray(A, dtype=float)
     obs = np.asarray(obs, dtype=float)
     rows, batched = _observation_rows(obs, measurements)
     steps, n = rows.shape
     m = A.shape[0]
-    belief = np.array(np.broadcast_to(np.reshape(initial, (m, -1)), (m, n)), dtype=float)
+    # a C-contiguous (M, N) copy, so A @ belief runs the same BLAS call for every layout
+    belief = np.array(np.broadcast_to(initial, (n, m)).T, dtype=float, order="C")
     vectors = np.empty((steps, n, m))
     normalizers = np.empty((steps, n))
     # A bad normalizer only turns later steps into NaN; the check after the
@@ -193,10 +187,10 @@ def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
             f"vs {backward.vectors.shape}"
         )
     product = forward.vectors * backward.vectors
-    sums = product.sum(axis=1, keepdims=True)
+    sums = product.sum(axis=-1, keepdims=True)
     bad = _first_bad(sums)
     if bad is not None:
-        trial = bad[2] if product.ndim == 3 else None
+        trial = bad[1] if product.ndim == 3 else None
         raise InferenceError("inconsistent forward/backward messages", bad[0] + 1, trial)
     product /= sums
     return product
@@ -214,14 +208,13 @@ def run_smoother(A, obs, measurements, initial) -> InferenceResult:
 
 
 def map_estimate(belief) -> int | np.ndarray:
-    """Most probable node id; ties go to the smallest id.
+    """Most probable node id along the last (state) axis; ties go to the smallest id.
 
-    ``belief`` is one belief (M,), giving an int, or beliefs stacked with the
-    state axis second, (T, M) or (T, M, N), giving ids of shape (T,) or (T, N).
+    One belief (M,) gives an int; beliefs (T, M) or (T, N, M), or priors
+    (N, M), give ids of shape (T,), (T, N) or (N,).
     """
     belief = np.asarray(belief)
-    axis = 0 if belief.ndim == 1 else 1
-    if belief.shape[axis] == 0:
+    if belief.shape[-1] == 0:
         raise ValueError("empty belief")
-    ids = np.argmax(belief, axis=axis) + 1
+    ids = np.argmax(belief, axis=-1) + 1
     return int(ids) if ids.ndim == 0 else ids

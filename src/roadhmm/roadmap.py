@@ -106,15 +106,6 @@ class RoadGraph:
             raise MapError(f"node {missing} has no outgoing edge with positive weight")
         object.__setattr__(self, "edges", tuple(normalized))
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean adjacency, symmetric over edge direction, self loops excluded."""
-        adj = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        for src, dst, _ in self.edges:
-            if src != dst:
-                adj[dst - 1, src - 1] = True
-                adj[src - 1, dst - 1] = True
-        return adj
-
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -139,6 +130,16 @@ def load_map(text: str) -> RoadGraph:
             raise MapError(f"edge #{pos} must be an object with 'from', 'to' and 'weight'")
         edges.append(Edge(item["from"], item["to"], item["weight"]))
     return RoadGraph(num_nodes=data["num_nodes"], edges=tuple(edges))
+
+
+def read_map(path: str) -> RoadGraph:
+    """Parse the map file at ``path``; a file that is not UTF-8 raises MapError naming it."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MapError(f"map file {path}: {exc}") from None
+    return load_map(text)
 
 
 def save_map(graph: RoadGraph) -> str:

@@ -58,9 +58,12 @@ def build_confusion_base(graph: RoadGraph) -> np.ndarray:
     directly connected get zero. A node with no neighbors observes itself
     with probability 1.
     """
-    adjacent = graph.adjacency_matrix()
-    neighbors = adjacent.sum(axis=0)
-    base = adjacent * ((1.0 - _DIAGONAL) / np.maximum(neighbors, 1))
+    pairs = [(e.src - 1, e.dst - 1) for e in graph.edges if e.src != e.dst]
+    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    base = np.zeros((graph.num_nodes, graph.num_nodes))
+    base[dst, src] = base[src, dst] = 1.0
+    neighbors = base.sum(axis=0)
+    base *= (1.0 - _DIAGONAL) / np.maximum(neighbors, 1)
     np.fill_diagonal(base, np.where(neighbors > 0, _DIAGONAL, 1.0))
     return base
 

@@ -348,6 +348,17 @@ def test_replicate_table1_output(tmp_path, capsys):
     assert lines[0].startswith("initial_state,sigma")
 
 
+def test_replicate_table1_csv_on_stdout_is_only_the_csv(tmp_path, capsys):
+    out = tmp_path / "table1.csv"
+    assert main(["replicate-table1", "--seed", "3", "--trials", "2", "--out", str(out)]) == 0
+    table = capsys.readouterr().out
+    assert main(["replicate-table1", "--seed", "3", "--trials", "2", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert len(captured.out.splitlines()) == 4
+    assert captured.err == table
+
+
 def test_replicate_table1_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["replicate-table1", "--seed", "3", "--trials", "2", "--out", str(a)])
@@ -556,6 +567,39 @@ def test_infer_rejects_file_without_measurements(tmp_path, small_map_path, capsy
 def infer_args(map_path, measurements, *extra):
     return ["infer", "--map", map_path, "--measurements", str(measurements), "--init-state", "1",
             *extra]
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [
+        ("validate-map", "map"),
+        ("simulate", "map"),
+        ("export-matrices", "map"),
+        ("infer", "map"),
+        ("infer", "measurement"),
+    ],
+)
+def test_non_utf8_input_file_is_named(tmp_path, small_map_path, capsys, command, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1\n\xff\n")
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("1\n")
+    map_path = str(bad) if kind == "map" else small_map_path
+    out = tmp_path / "out"
+    args = {
+        "validate-map": ["validate-map", map_path],
+        "simulate": ["simulate", "--map", map_path, "--init", "1", "--out", str(out)],
+        "export-matrices": ["export-matrices", "--map", map_path, "--out-prefix", str(out)],
+        "infer": infer_args(map_path, bad if kind == "measurement" else measurements,
+                            "--out", str(out)),
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind} file {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_infer_filter_skips_backward_pass_and_equals_both(tmp_path, small_map_path, monkeypatch):

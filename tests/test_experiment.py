@@ -49,6 +49,22 @@ def test_inverse_cdf_boundaries():
     assert experiment.inverse_cdf_sample(short_cdf, 0.9999999999999999) == 2
 
 
+def test_inverse_cdf_skips_zero_probability_state_beyond_rounded_down_total():
+    cdf = np.cumsum([0.5, 0.4999999999999998, 0.0])
+    assert experiment.inverse_cdf_sample(cdf, 0.9999999999999999) == 2
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_largest_uniform_draws_positive_probability_state_on_default_map(sigma):
+    _, transition, observation = experiment.build_model("default", sigma)
+    largest = 1.0 - 2.0**-53  # the largest value Generator.random() returns
+    for matrix in (transition, observation):
+        ids = experiment.inverse_cdf_sample(
+            np.cumsum(matrix, axis=0), np.full(matrix.shape[1], largest)
+        )
+        assert np.all(matrix[ids - 1, np.arange(matrix.shape[1])] > 0.0)
+
+
 def test_inverse_cdf_frequencies_track_column():
     rng = np.random.default_rng(101)
     probabilities = np.array([0.1, 0.0, 0.4, 0.2, 0.3])

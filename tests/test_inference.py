@@ -237,10 +237,10 @@ def test_smooth_rejects_messages_with_disjoint_support():
 
 
 def test_smooth_names_trial_of_inconsistent_batch_messages():
-    forward = np.ones((2, 2, 3)) / 2
-    forward[1, :, 2] = [1.0, 0.0]
-    backward = np.ones((2, 2, 3)) / 2
-    backward[1, :, 2] = [0.0, 1.0]
+    forward = np.ones((2, 3, 2)) / 2
+    forward[1, 2] = [1.0, 0.0]
+    backward = np.ones((2, 3, 2)) / 2
+    backward[1, 2] = [0.0, 1.0]
     with pytest.raises(InferenceError, match="^trial 2: step 2: inconsistent forward/backward"):
         inference.smooth(
             inference.ScaledMessages(forward, np.zeros((2, 3))),
@@ -326,15 +326,15 @@ def test_batch_matches_single_sequences(random_instance):
     rng = np.random.default_rng(41)
     transition, observation, _, _ = random_instance(rng, 6, 1)
     measurements = rng.integers(1, 7, size=(30, 5))
-    priors = rng.random((6, 5)) + 0.05
-    priors /= priors.sum(axis=0)
+    priors = rng.random((6, 5)).T + 0.05
+    priors /= priors.sum(axis=1, keepdims=True)
     batch = inference.run_smoother(transition, observation, measurements, priors)
-    assert batch.filtered.shape == batch.smoothed.shape == (30, 6, 5)
+    assert batch.filtered.shape == batch.smoothed.shape == (30, 5, 6)
     assert batch.log_likelihood.shape == (5,)
     for i in range(5):
-        single = inference.run_smoother(transition, observation, measurements[:, i], priors[:, i])
-        assert_allclose(batch.filtered[:, :, i], single.filtered, rtol=1e-12, atol=1e-15)
-        assert_allclose(batch.smoothed[:, :, i], single.smoothed, rtol=1e-12, atol=1e-15)
+        single = inference.run_smoother(transition, observation, measurements[:, i], priors[i])
+        assert_allclose(batch.filtered[:, i], single.filtered, rtol=1e-12, atol=1e-15)
+        assert_allclose(batch.smoothed[:, i], single.smoothed, rtol=1e-12, atol=1e-15)
         assert batch.log_likelihood[i] == pytest.approx(single.log_likelihood, abs=1e-10)
         assert np.array_equal(
             inference.map_estimate(batch.smoothed)[:, i], inference.map_estimate(single.smoothed)
@@ -346,17 +346,17 @@ def test_batch_of_one_equals_single_sequence(random_instance):
     transition, observation, initial, measurements = random_instance(rng, 7, 40)
     single = inference.run_smoother(transition, observation, measurements, initial)
     batch = inference.run_smoother(
-        transition, observation, np.array(measurements)[:, None], initial[:, None]
+        transition, observation, np.array(measurements)[:, None], initial[None, :]
     )
-    assert np.array_equal(batch.filtered[:, :, 0], single.filtered)
-    assert np.array_equal(batch.smoothed[:, :, 0], single.smoothed)
+    assert np.array_equal(batch.filtered[:, 0], single.filtered)
+    assert np.array_equal(batch.smoothed[:, 0], single.smoothed)
 
 
 def test_batch_shares_a_one_dimensional_prior(two_state):
     transition, observation, initial, measurements = two_state
     columns = np.array([measurements, measurements]).T
     shared = inference.forward_pass(transition, observation, columns, initial)
-    assert_allclose(shared.vectors[:, :, 1], [FILTERED_1, FILTERED_2], atol=1e-12)
+    assert_allclose(shared.vectors[:, 1], [FILTERED_1, FILTERED_2], atol=1e-12)
 
 
 def test_batch_error_names_trial_and_step():
@@ -382,9 +382,14 @@ def test_batch_out_of_range_measurement_names_trial_and_step(two_state):
 
 
 def test_map_estimate_batches_along_state_axis():
-    beliefs = np.array([[[0.1, 0.6], [0.9, 0.4]], [[0.5, 0.2], [0.5, 0.8]]])
-    assert np.array_equal(inference.map_estimate(beliefs), [[2, 1], [1, 2]])
-    assert np.array_equal(inference.map_estimate(beliefs[:, :, 0]), [2, 1])
+    # (T, N, M) = (2, 3, 4): no two axes have the same length
+    beliefs = np.array([
+        [[0.1, 0.6, 0.2, 0.1], [0.4, 0.1, 0.1, 0.4], [0.0, 0.0, 0.0, 1.0]],
+        [[0.25, 0.25, 0.25, 0.25], [0.0, 0.2, 0.7, 0.1], [0.3, 0.3, 0.3, 0.1]],
+    ])
+    assert np.array_equal(inference.map_estimate(beliefs), [[2, 1, 4], [1, 3, 1]])
+    assert np.array_equal(inference.map_estimate(beliefs[:, 1]), [1, 3])
+    assert np.array_equal(inference.map_estimate(beliefs[0]), [2, 1, 4])  # an (N, M) prior
 
 
 # ---- map_estimate ----

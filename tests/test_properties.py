@@ -41,12 +41,12 @@ def _stochastic(draw, shape):
 
 @st.composite
 def models(draw, max_states=4, max_steps=5, trials=None):
-    """(A, obs, initial, measurements); a batch of ``trials`` sequences when given."""
+    """(A, obs, initial, measurements); with ``trials``, a batch with (trials, M) priors."""
     m = draw(st.integers(1, max_states))
     t = draw(st.integers(1, max_steps))
     shape = (t,) if trials is None else (t, trials)
     ids = draw(st.lists(st.integers(1, m), min_size=math.prod(shape), max_size=math.prod(shape)))
-    initial = _stochastic(draw, (m,) if trials is None else (m, trials))
+    initial = _stochastic(draw, (m,) if trials is None else (m, trials)).T
     return _stochastic(draw, (m, m)), _stochastic(draw, (m, m)), initial, np.reshape(ids, shape)
 
 
@@ -75,7 +75,7 @@ def test_batch_equals_single_sequences(model):
     transition, observation, initial, measurements = model
     batch = inference.run_smoother(transition, observation, measurements, initial)
     for n in range(measurements.shape[1]):
-        single = inference.run_smoother(transition, observation, measurements[:, n], initial[:, n])
-        assert_allclose(batch.filtered[:, :, n], single.filtered, rtol=1e-12)
-        assert_allclose(batch.smoothed[:, :, n], single.smoothed, rtol=1e-12)
+        single = inference.run_smoother(transition, observation, measurements[:, n], initial[n])
+        assert_allclose(batch.filtered[:, n], single.filtered, rtol=1e-12)
+        assert_allclose(batch.smoothed[:, n], single.smoothed, rtol=1e-12)
         assert batch.log_likelihood[n] == pytest.approx(single.log_likelihood, rel=1e-12)

@@ -291,9 +291,3 @@ def test_generator_handles_small_maps():
     graph = roadmap.generate_default_map(num_nodes=12, seed=5)
     matrix = roadmap.build_transition_matrix(graph)
     assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12
-
-
-def test_adjacency_matrix_symmetric_no_diagonal(default_graph):
-    adjacent = default_graph.adjacency_matrix()
-    assert np.array_equal(adjacent, adjacent.T)
-    assert not adjacent.diagonal().any()

@@ -126,18 +126,34 @@ def test_base_columns_stochastic_and_diagonal_on_target(default_graph):
     assert abs(base.diagonal().mean() - 0.7) <= 0.05
 
 
+def adjacency(graph):
+    """Boolean adjacency over graph.edges, symmetric over edge direction, self loops excluded."""
+    adjacent = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
+    for src, dst, _ in graph.edges:
+        if src != dst:
+            adjacent[dst - 1, src - 1] = adjacent[src - 1, dst - 1] = True
+    return adjacent
+
+
 def test_base_zero_only_off_adjacency(default_graph):
     base = sensor.build_confusion_base(default_graph)
-    adjacent = default_graph.adjacency_matrix()
+    adjacent = adjacency(default_graph)
     off_structure = ~adjacent & ~np.eye(105, dtype=bool)
     assert np.all(base[off_structure] == 0.0)
     assert np.all(base[adjacent] > 0.0)
 
 
+def test_base_off_diagonal_support_symmetric(default_graph):
+    support = sensor.build_confusion_base(default_graph) > 0.0
+    np.fill_diagonal(support, False)
+    assert np.array_equal(support, support.T)
+    assert support.any()
+
+
 def reference_confusion_base(graph):
     """The per-column loop that build_confusion_base replaced, kept as its reference."""
     m = graph.num_nodes
-    adjacent = graph.adjacency_matrix()
+    adjacent = adjacency(graph)
     base = np.zeros((m, m))
     for i in range(m):
         neighbors = np.flatnonzero(adjacent[:, i])
