@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate-map, simulate, replicate-table1, export-matrices,
-infer. Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
+infer. Exit codes: 0 success, 1 validation or usage failure or out of
+memory, 2 I/O failure.
 All output is deterministic given the flags.
 """
 
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # includes MapError and InferenceError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

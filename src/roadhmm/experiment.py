@@ -59,7 +59,6 @@ class TrialTraces:
     ``smoother_estimates`` is None when the smoother was not run.
     """
 
-    seeds: tuple[int, ...]
     true_states: np.ndarray
     measurements: np.ndarray
     filter_estimates: np.ndarray
@@ -78,11 +77,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-trial accuracies with their seeds; summary stats are derived."""
+    """Per-trial accuracies; summary stats are derived."""
 
     filter_accuracies: tuple[float, ...]
     smoother_accuracies: tuple[float, ...]
-    trial_seeds: tuple[int, ...]
 
     @property
     def filter_mean(self) -> float:
@@ -195,7 +193,7 @@ def build_model(map_source: str, sigma: float):
         graph = roadmap.read_map(map_source)
     transition = roadmap.build_transition_matrix(graph)
     base = sensor.build_confusion_base(graph)
-    observation = sensor.apply_gaussian_noise(base, sensor.NoiseSpec(sigma))
+    observation = sensor.apply_gaussian_noise(base, sigma)
     return graph, transition, observation
 
 
@@ -218,7 +216,6 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
         raise ValueError("steps must be >= 1")
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
-    seeds = tuple(trial_seed(config.master_seed, t) for t in range(config.trials))
     cdfs = (np.cumsum(transition, axis=0), np.cumsum(observation, axis=0))
     shape = (config.trials, config.steps)
     states, measurements, filtered = (np.empty(shape, dtype=np.int64) for _ in range(3))
@@ -226,8 +223,9 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
     width = batch_width(config.steps, graph.num_nodes)
     for start in range(0, config.trials, width):
         batch = slice(start, start + width)
+        seeds = [trial_seed(config.master_seed, t) for t in range(config.trials)[batch]]
         x, y = sample_trajectory(
-            transition, observation, config.initial_state, config.steps, seeds[batch], cdfs=cdfs
+            transition, observation, config.initial_state, config.steps, seeds, cdfs=cdfs
         )
         states[batch], measurements[batch] = x.T, y.T
         try:
@@ -238,7 +236,7 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
                 smoothed[batch] = inference.map_estimate(inference.smooth(forward, backward)).T
         except inference.InferenceError as exc:
             raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
-    return TrialTraces(seeds, states, measurements, filtered, smoothed)
+    return TrialTraces(states, measurements, filtered, smoothed)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -249,7 +247,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         smoother_accuracies=tuple(
             accuracy(traces.true_states, traces.smoother_estimates).tolist()
         ),
-        trial_seeds=traces.seeds,
     )
 
 

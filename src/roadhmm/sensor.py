@@ -1,20 +1,20 @@
 """Observation model: a discrete confusion base plus index-distance Gaussian.
 
 The base matrix concentrates probability on the true position and spreads
-the rest over graph neighbors. The Gaussian kernel over node-index distance
-is then superimposed on every column and the column renormalized. Far from
-the diagonal the kernel underflows to exactly 0 (from index distance 39 at
-sigma = 1), so an entry whose base is also 0 stays 0: a measurement there is
-impossible under the model. Matrices are column-stochastic:
-entry [j-1, i-1] = P(measure j | at i).
+the rest over graph neighbors. The Gaussian over node-index distance, a 1-D
+kernel of M values, is then superimposed on every column and the column
+renormalized. Far from the diagonal the kernel underflows to exactly 0 (from
+index distance 39 at sigma = 1), so an entry whose base is also 0 stays 0: a
+measurement there is impossible under the model. Matrices are
+column-stochastic: entry [j-1, i-1] = P(measure j | at i).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .roadmap import RoadGraph
 
@@ -22,29 +22,15 @@ from .roadmap import RoadGraph
 _DIAGONAL = 0.7
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Standard deviation of the superimposed Gaussian, in node-index units."""
-
-    sigma: float
-
-    def __post_init__(self):
-        _check_sigma(self.sigma)
-
-
-def _check_sigma(sigma: float) -> None:
-    # The kernel divides by 2 sigma^2: it overflows above sigma ~ 1e154 (a flat,
-    # noise-free kernel) and is 0 below ~ 1e-162, where the kernel's peak is 0/0.
-    if not (sigma > 0 and 0.0 < 2.0 * (sigma * sigma) < math.inf):
-        raise ValueError(f"sigma must be positive and finite, and so must 2*sigma^2, got {sigma}")
-
-
 def gaussian_kernel(j, i, sigma: float):
     """Normal density with std ``sigma`` at index distance j - i; symmetric in (i, j).
 
     ``j`` and ``i`` are node indices or arrays of them that broadcast together.
     """
-    _check_sigma(sigma)
+    # The kernel divides by 2 sigma^2: it overflows above sigma ~ 1e154 (a flat,
+    # noise-free kernel) and is 0 below ~ 1e-162, where the kernel's peak is 0/0.
+    if not (sigma > 0 and 0.0 < 2.0 * (sigma * sigma) < math.inf):
+        raise ValueError(f"sigma must be positive and finite, and so must 2*sigma^2, got {sigma}")
     d = np.asarray(j, dtype=float) - np.asarray(i, dtype=float)
     with np.errstate(over="ignore"):  # d^2 / (2 sigma^2) = inf is a density of exactly 0
         return np.exp(-(d * d) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
@@ -68,14 +54,19 @@ def build_confusion_base(graph: RoadGraph) -> np.ndarray:
     return base
 
 
-def apply_gaussian_noise(base: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
     """Superimpose the index Gaussian on every column and renormalize.
 
     Column i becomes (base[:, i] + g[:, i]) / (1 + sum_j g[j, i]) with
-    g[j, i] = gaussian_kernel(j, i, sigma); columns still sum to 1. An entry
-    is 0 where base is 0 and the kernel has underflowed to 0.
+    g[j, i] = kernel[|j - i|], where kernel[d] = gaussian_kernel(d, 0, sigma)
+    is computed once for d = 0..M-1; columns still sum to 1. An entry is 0
+    where base is 0 and the kernel has underflowed to 0.
     """
-    base = np.asarray(base, dtype=float)
-    ids = np.arange(1, base.shape[0] + 1)
-    g = gaussian_kernel(ids[:, None], ids[None, :], noise.sigma)
-    return (base + g) / (1.0 + g.sum(axis=0))
+    m = np.shape(base)[0]
+    kernel = gaussian_kernel(np.arange(m), 0, sigma)
+    # g[j, i] = kernel[|j - i|]: rows of the symmetric sequence kernel[M-1..1, 0..M-1]
+    g = sliding_window_view(np.concatenate((kernel[:0:-1], kernel)), m)[::-1].copy()
+    total = 1.0 + g.sum(axis=0)
+    g += base
+    g /= total
+    return g

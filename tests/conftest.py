@@ -58,4 +58,4 @@ def default_base(default_graph):
 
 @pytest.fixture(scope="session")
 def default_observation(default_base):
-    return sensor.apply_gaussian_noise(default_base, sensor.NoiseSpec(1.0))
+    return sensor.apply_gaussian_noise(default_base, 1.0)

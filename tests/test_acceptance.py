@@ -145,10 +145,10 @@ def test_criterion_5_stochasticity_and_stability():
     assert np.abs(transition.sum(axis=0) - 1.0).max() <= 1e-12
     assert np.abs(base.sum(axis=0) - 1.0).max() <= 1e-12
     for sigma in (1.0, 2.0):
-        observation = sensor.apply_gaussian_noise(base, sensor.NoiseSpec(sigma))
+        observation = sensor.apply_gaussian_noise(base, sigma)
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
-    observation = sensor.apply_gaussian_noise(base, sensor.NoiseSpec(1.0))
+    observation = sensor.apply_gaussian_noise(base, 1.0)
     sample = experiment.sample_trajectory(transition, observation, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
     result = inference.run_smoother(transition, observation, sample.measurements, prior)

@@ -115,15 +115,25 @@ def test_sampled_pairs_have_positive_probability(default_transition, default_obs
         previous = state
 
 
+def scalar_reference_draw(cdf, u):
+    """searchsorted on one column, with u clamped just below the column total."""
+    return int(np.searchsorted(cdf, min(u, np.nextafter(cdf[-1], 0.0)), side="right")) + 1
+
+
+def test_scalar_reference_draw_matches_sampler_beyond_rounded_down_total():
+    cdf = np.cumsum([0.5, 0.4999999999999998, 0.0])
+    largest = 1.0 - 2.0**-53
+    assert scalar_reference_draw(cdf, largest) == experiment.inverse_cdf_sample(cdf, largest) == 2
+
+
 def scalar_reference_sample(A, obs, initial_state, steps, seed):
     """One scalar draw per step and per measurement, searched with searchsorted."""
     rng = np.random.default_rng(seed)
     transition_cdf, observation_cdf = np.cumsum(A, axis=0), np.cumsum(obs, axis=0)
-    last = A.shape[0] - 1
     x, states, measurements = initial_state, [], []
     for _ in range(steps):
-        x = min(int(np.searchsorted(transition_cdf[:, x - 1], rng.random(), side="right")), last) + 1
-        y = min(int(np.searchsorted(observation_cdf[:, x - 1], rng.random(), side="right")), last) + 1
+        x = scalar_reference_draw(transition_cdf[:, x - 1], rng.random())
+        y = scalar_reference_draw(observation_cdf[:, x - 1], rng.random())
         states.append(x)
         measurements.append(y)
     return tuple(states), tuple(measurements)
@@ -206,7 +216,6 @@ def test_run_experiment_statistics_consistent():
     for value in result.filter_accuracies + result.smoother_accuracies:
         assert 0.0 <= value <= 1.0
         assert abs(value * config.steps - round(value * config.steps)) <= 1e-9
-    assert len(result.trial_seeds) == 6
 
 
 def test_single_trial_std_is_zero():
@@ -265,7 +274,6 @@ def per_trial_reference(config):
 def assert_matches_reference(config):
     traces = experiment.simulate_trials(config)
     states, measurements, filtered, smoothed = per_trial_reference(config)
-    assert traces.seeds == tuple(experiment.trial_seed(config.master_seed, t) for t in range(config.trials))
     assert np.array_equal(traces.true_states, states)
     assert np.array_equal(traces.measurements, measurements)
     assert np.array_equal(traces.filter_estimates, filtered)
@@ -295,6 +303,28 @@ def test_engine_filter_only_skips_smoother():
     filter_only = experiment.simulate_trials(config, smoother=False)
     assert filter_only.smoother_estimates is None
     assert np.array_equal(filter_only.filter_estimates, both.filter_estimates)
+
+
+def test_engine_derives_seeds_one_batch_at_a_time(monkeypatch):
+    seed = experiment.trial_seed
+    derived = []
+
+    def counting_seed(master_seed, trial):
+        derived.append(trial)
+        return seed(master_seed, trial)
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(experiment, "trial_seed", counting_seed)
+    monkeypatch.setattr(inference, "forward_pass", stop)
+    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=1000, master_seed=0)
+    with pytest.raises(Stop):
+        experiment.simulate_trials(config)
+    assert derived == list(range(experiment.batch_width(50, 105)))
 
 
 def test_engine_error_names_run_trial_and_step(monkeypatch):

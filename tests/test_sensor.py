@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from roadhmm import roadmap, sensor
-from roadhmm.sensor import NoiseSpec
 
 # Frozen reference values, evaluated directly from the normal density
 # exp(-d^2 / (2 s^2)) / (s sqrt(2 pi)).
@@ -59,7 +59,7 @@ def test_kernel_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
         sensor.gaussian_kernel(1, 2, sigma)
     with pytest.raises(ValueError):
-        NoiseSpec(sigma)
+        sensor.apply_gaussian_noise(np.eye(2), sigma)
 
 
 @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e300, 1e-200])
@@ -67,7 +67,7 @@ def test_kernel_and_noise_reject_non_finite_sigma(sigma):
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         sensor.gaussian_kernel(1, 2, sigma)
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
-        NoiseSpec(sigma)
+        sensor.apply_gaussian_noise(np.eye(2), sigma)
 
 
 def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_base):
@@ -75,12 +75,11 @@ def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_base):
     for k in range(-320, 309):
         sigma = float(f"1e{k}")
         try:
-            noise = NoiseSpec(sigma)
+            out = sensor.apply_gaussian_noise(default_base, sigma)
         except ValueError as exc:
             assert str(exc).startswith("sigma must be positive and finite")
             assert str(exc).endswith(f"got {sigma}")
             continue
-        out = sensor.apply_gaussian_noise(default_base, noise)
         assert np.all(np.isfinite(out)), sigma
         assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12, sigma
         accepted.append(k)
@@ -189,13 +188,13 @@ def test_base_equals_per_column_reference(request, graph_fixture):
 
 
 def test_noise_single_state_stays_certain():
-    out = sensor.apply_gaussian_noise(np.array([[1.0]]), NoiseSpec(1.0))
+    out = sensor.apply_gaussian_noise(np.array([[1.0]]), 1.0)
     assert_allclose(out, [[1.0]], atol=1e-15)
 
 
 def test_noise_worked_five_node_column(chain5_graph):
     base = sensor.build_confusion_base(chain5_graph)
-    out = sensor.apply_gaussian_noise(base, NoiseSpec(1.0))
+    out = sensor.apply_gaussian_noise(base, 1.0)
     total = PHI_0_S1 + 2 * PHI_1_S1 + 2 * PHI_2_S1
     assert total == pytest.approx(0.990866, abs=1e-6)
     # frozen from (0.7 + phi(0)) / (1 + total)
@@ -211,7 +210,7 @@ def test_noise_columns_stochastic_for_random_bases():
         base = rng.random((m, m))
         base /= base.sum(axis=0)
         for sigma in (0.5, 1.0, 2.0):
-            out = sensor.apply_gaussian_noise(base, NoiseSpec(sigma))
+            out = sensor.apply_gaussian_noise(base, sigma)
             assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.all(out > 0.0)
 
@@ -219,7 +218,7 @@ def test_noise_columns_stochastic_for_random_bases():
 def test_noise_strictly_positive_within_float_range(default_base):
     # exp(-d^2/2) underflows float64 beyond index distance ~38, so strict
     # positivity can only be observed where the tail is representable
-    out = sensor.apply_gaussian_noise(default_base, NoiseSpec(1.0))
+    out = sensor.apply_gaussian_noise(default_base, 1.0)
     assert out.min() >= 0.0
     m = out.shape[0]
     ids = np.arange(m)
@@ -231,7 +230,7 @@ def test_noise_strictly_positive_within_float_range(default_base):
 def test_noise_zeros_are_base_zeros_where_kernel_underflows(
     default_base, sigma, zeros, first_zero_distance
 ):
-    out = sensor.apply_gaussian_noise(default_base, NoiseSpec(sigma))
+    out = sensor.apply_gaussian_noise(default_base, sigma)
     ids = np.arange(1, out.shape[0] + 1)
     kernel = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
     distance = np.abs(ids[:, None] - ids[None, :])
@@ -243,7 +242,7 @@ def test_noise_zeros_are_base_zeros_where_kernel_underflows(
 
 
 def test_noise_smallest_positive_entry_is_subnormal(default_base):
-    out = sensor.apply_gaussian_noise(default_base, NoiseSpec(1.0))
+    out = sensor.apply_gaussian_noise(default_base, 1.0)
     smallest = out[out > 0.0].min()
     assert smallest < np.finfo(float).tiny
     assert smallest == pytest.approx(5.5e-315, rel=0.01)
@@ -256,9 +255,9 @@ def test_noise_minimum_entries_grow_with_sigma():
     rng = np.random.default_rng(8)
     base = rng.random((30, 30))
     base /= base.sum(axis=0)
-    previous = sensor.apply_gaussian_noise(base, NoiseSpec(1.0))
+    previous = sensor.apply_gaussian_noise(base, 1.0)
     for sigma in (2.0, 3.0):
-        current = sensor.apply_gaussian_noise(base, NoiseSpec(sigma))
+        current = sensor.apply_gaussian_noise(base, sigma)
         assert np.all(current.min(axis=0) > previous.min(axis=0))
         previous = current
 
@@ -266,7 +265,46 @@ def test_noise_minimum_entries_grow_with_sigma():
 def test_noise_tiny_sigma_sharpens_to_diagonal(default_base):
     # As sigma -> 0 the density at zero distance diverges, so each column
     # collapses onto its own state rather than back onto the base.
-    out = sensor.apply_gaussian_noise(default_base, NoiseSpec(1e-6))
+    out = sensor.apply_gaussian_noise(default_base, 1e-6)
     assert out.diagonal().min() >= 1.0 - 1e-4
     off = out - np.diag(out.diagonal())
     assert off.max() <= 1e-4
+
+
+def reference_noise(base, sigma):
+    """The dense M x M distance-grid build that apply_gaussian_noise replaced, kept as its reference."""
+    base = np.asarray(base, dtype=float)
+    ids = np.arange(1, base.shape[0] + 1)
+    g = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
+    return (base + g) / (1.0 + g.sum(axis=0))
+
+
+@pytest.fixture(scope="module")
+def reference_graphs():
+    return {
+        "default": roadmap.generate_default_map(),
+        "generated700": roadmap.generate_default_map(num_nodes=700, seed=5),
+        "generated12": roadmap.generate_default_map(num_nodes=12, seed=5),
+        "single": roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),)),
+    }
+
+
+@pytest.mark.parametrize("name", ["default", "generated700", "generated12", "single"])
+def test_noise_bytes_equal_dense_reference(reference_graphs, name):
+    base = sensor.build_confusion_base(reference_graphs[name])
+    for sigma in (0.5, 1.0, 2.0, 37.0, 1e-6, 1e4, 1e150, 1e-160):
+        out = sensor.apply_gaussian_noise(base, sigma)
+        expected = reference_noise(base, sigma)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes(), sigma
+
+
+def test_noise_peak_memory_is_one_matrix(reference_graphs):
+    base = sensor.build_confusion_base(reference_graphs["generated700"])
+    tracemalloc.start()
+    try:
+        sensor.apply_gaussian_noise(base, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * base.nbytes
