@@ -306,6 +306,7 @@ def test_sigma_whose_kernel_is_not_finite_exits_1(tmp_path, capsys, command, sig
     err = capsys.readouterr().err
     assert err.startswith("error: sigma must be positive and finite")
     assert f"got {float(sigma)}" in err
+    assert "Traceback" not in err
     assert not any(path.exists() for path in outputs)
 
 
