@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -32,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _thread_count(text: str) -> int:
+    """A --threads value: accepted and ignored, but it must be an integer >= 1."""
+    with suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid thread count {text!r}: must be an integer >= 1")
 
 
 @contextmanager
@@ -152,7 +160,7 @@ def _parse_measurements(text: str, num_nodes: int) -> list[int]:
 
 def _cmd_infer(args) -> int:
     graph, transition, observation = experiment.build_model(args.map, args.sigma)
-    with open(args.measurements, encoding="utf-8") as handle:
+    with open(args.measurements, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -197,14 +205,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("filter", "smoother", "both"), default="both")
-    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    p.add_argument("--threads", type=_thread_count, default=1, help="accepted; has no effect")
     p.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("replicate-table1", help="run the three reference scenarios")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    p.add_argument("--threads", type=_thread_count, default=1, help="accepted; has no effect")
     p.add_argument("--out", default=None, help="optional CSV path for the comparison table")
     p.set_defaults(func=_cmd_replicate_table1)
 

@@ -43,15 +43,6 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return splitmix64((master_seed + (trial + 1) * _GOLDEN) & _MASK64)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """A simulated true path x_1..x_T with its measurements y_1..y_T."""
-
-    initial_state: int
-    true_states: tuple[int, ...]
-    measurements: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class TrialTraces:
     """Every trial of a run: (trials, steps) int arrays of node ids, row i for trial i.
@@ -118,14 +109,13 @@ def inverse_cdf_sample(cdf, u):
     """Smallest node id whose cumulative probability exceeds ``u``.
 
     ``cdf`` is the running sum of a probability column in ascending node-id
-    order; zero-probability states are never selected. Given N such columns
-    side by side, (M, N), and N uniforms, it returns N node ids. Counting the
-    entries <= u equals ``searchsorted(side="right")`` on a non-decreasing
+    order; zero-probability states are never selected. An (M,) column and a
+    scalar u give a numpy integer, (M, N) columns and N uniforms N node ids.
+    Counting entries <= u equals ``searchsorted(side="right")`` on a sorted
     column; a u at or beyond a rounded-down total is clamped just below it.
     """
     cdf = np.asarray(cdf)
-    ids = (cdf <= np.minimum(u, np.nextafter(cdf[-1], 0.0))).sum(axis=0) + 1
-    return int(ids) if ids.ndim == 0 else ids
+    return (cdf <= np.minimum(u, np.nextafter(cdf[-1], 0.0))).sum(axis=0) + 1
 
 
 def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None):
@@ -137,10 +127,10 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
     from one ``default_rng(seed).random(2 * steps)`` call, the same stream as
     2T single draws.
 
-    ``seed`` is one seed, giving a TrajectorySample, or a sequence of N
-    seeds, giving (true_states, measurements) as (steps, N) int arrays of node
-    ids with one column per seed. ``cdfs`` is ``(np.cumsum(A, axis=0),
-    np.cumsum(obs, axis=0))`` for a caller that samples many batches.
+    Returns (true_states, measurements), int arrays of node ids: (steps,)
+    for one ``seed``, (steps, N) with one column per seed for a sequence of N
+    seeds. ``cdfs`` is ``(np.cumsum(A, axis=0), np.cumsum(obs, axis=0))``
+    for a caller that samples many batches.
     """
     m = np.shape(A)[0]
     if not 1 <= initial_state <= m:
@@ -161,19 +151,14 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
     for k in range(steps):
         x = states[k] = inverse_cdf_sample(transition_cdf[:, x - 1], uniforms[k, 0])
         measurements[k] = inverse_cdf_sample(observation_cdf[:, x - 1], uniforms[k, 1])
-    if single:
-        return TrajectorySample(
-            initial_state=int(initial_state),
-            true_states=tuple(states[:, 0].tolist()),
-            measurements=tuple(measurements[:, 0].tolist()),
-        )
-    return states, measurements
+    return (states[:, 0], measurements[:, 0]) if single else (states, measurements)
 
 
 def accuracy(true_states, estimates):
     """Fraction of steps where the estimate equals the true state.
 
-    For (N, T) arrays, one fraction per row, as an (N,) array.
+    Two (T,) sequences give a numpy float; (N, T) arrays give one fraction
+    per row, as an (N,) array.
     """
     truth = np.asarray(true_states)
     estimate = np.asarray(estimates)
@@ -181,8 +166,7 @@ def accuracy(true_states, estimates):
         raise ValueError(f"length mismatch: shape {truth.shape} true vs {estimate.shape} estimated")
     if truth.size == 0:
         raise ValueError("empty sequences")
-    fractions = np.mean(truth == estimate, axis=-1)
-    return float(fractions) if fractions.ndim == 0 else fractions
+    return np.mean(truth == estimate, axis=-1)
 
 
 def build_model(map_source: str, sigma: float):

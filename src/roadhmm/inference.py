@@ -58,12 +58,12 @@ class ScaledMessages:
 class InferenceResult:
     """Filter and smoother beliefs for one measurement sequence or a batch.
 
-    ``log_likelihood`` is a float for one sequence and an (N,) array for a batch.
+    ``log_likelihood`` is a numpy float for one sequence and an (N,) array for a batch.
     """
 
     filtered: np.ndarray
     smoothed: np.ndarray
-    log_likelihood: float | np.ndarray
+    log_likelihood: np.floating | np.ndarray
 
 
 def point_mass_belief(num_states: int, node: int) -> np.ndarray:
@@ -139,11 +139,6 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     return _messages(vectors, np.log(normalizers), batched)
 
 
-def _log_likelihood(messages: ScaledMessages) -> float | np.ndarray:
-    total = messages.log_scale_factors.sum(axis=0)
-    return float(total) if total.ndim == 0 else total
-
-
 def backward_pass(A, obs, measurements) -> ScaledMessages:
     """Scaled backward recursion using the transpose of the transition matrix.
 
@@ -203,18 +198,17 @@ def run_smoother(A, obs, measurements, initial) -> InferenceResult:
     return InferenceResult(
         filtered=fwd.vectors,
         smoothed=smooth(fwd, bwd),
-        log_likelihood=_log_likelihood(fwd),
+        log_likelihood=fwd.log_scale_factors.sum(axis=0),
     )
 
 
-def map_estimate(belief) -> int | np.ndarray:
+def map_estimate(belief) -> np.integer | np.ndarray:
     """Most probable node id along the last (state) axis; ties go to the smallest id.
 
-    One belief (M,) gives an int; beliefs (T, M) or (T, N, M), or priors
+    One belief (M,) gives a numpy integer; beliefs (T, M) or (T, N, M), or priors
     (N, M), give ids of shape (T,), (T, N) or (N,).
     """
     belief = np.asarray(belief)
     if belief.shape[-1] == 0:
         raise ValueError("empty belief")
-    ids = np.argmax(belief, axis=-1) + 1
-    return int(ids) if ids.ndim == 0 else ids
+    return np.argmax(belief, axis=-1) + 1

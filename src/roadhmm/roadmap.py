@@ -133,8 +133,8 @@ def load_map(text: str) -> RoadGraph:
 
 
 def read_map(path: str) -> RoadGraph:
-    """Parse the map file at ``path``; a file that is not UTF-8 raises MapError naming it."""
-    with open(path, encoding="utf-8") as handle:
+    """Parse the UTF-8 map file at ``path``, BOM or not; a non-UTF-8 file raises MapError naming it."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -160,11 +160,12 @@ def build_transition_matrix(graph: RoadGraph) -> np.ndarray:
     total overflows, or the weight is lost to rounding against it.
     """
     src, dst, weight = (np.array(column) for column in zip(*graph.edges))
-    weights = np.zeros((graph.num_nodes, graph.num_nodes))
-    weights[dst - 1, src - 1] = weight
+    # normalized in place: the build holds one M x M array
+    matrix = np.zeros((graph.num_nodes, graph.num_nodes))
+    matrix[dst - 1, src - 1] = weight
     with np.errstate(over="ignore"):
-        totals = weights.sum(axis=0)
-    matrix = weights / totals
+        totals = matrix.sum(axis=0)
+    matrix /= totals
     lost = np.flatnonzero((weight > 0) & (matrix[dst - 1, src - 1] == 0))
     if lost.size:
         k = lost[0]

@@ -128,10 +128,10 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
         prior = inference.point_mass_belief(graph.num_nodes, row.config.initial_state)
         for trial in range(row.config.trials):
             seed = experiment.trial_seed(row.config.master_seed, trial)
-            sample = experiment.sample_trajectory(
+            _, measurements = experiment.sample_trajectory(
                 transition, observation, row.config.initial_state, row.config.steps, seed
             )
-            result = inference.run_smoother(transition, observation, sample.measurements, prior)
+            result = inference.run_smoother(transition, observation, measurements, prior)
             assert np.abs(result.smoothed[-1] - result.filtered[-1]).max() <= 1e-12
             assert np.abs(result.filtered.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(result.smoothed.sum(axis=1) - 1.0).max() <= 1e-12
@@ -149,9 +149,9 @@ def test_criterion_5_stochasticity_and_stability():
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
     observation = sensor.apply_gaussian_noise(base, 1.0)
-    sample = experiment.sample_trajectory(transition, observation, 5, 10_000, seed=12345)
+    _, measurements = experiment.sample_trajectory(transition, observation, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
-    result = inference.run_smoother(transition, observation, sample.measurements, prior)
+    result = inference.run_smoother(transition, observation, measurements, prior)
     assert np.isfinite(result.filtered).all()
     assert np.isfinite(result.smoothed).all()
     assert math.isfinite(result.log_likelihood)

@@ -325,6 +325,21 @@ def test_simulate_rejects_bad_method(tmp_path):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-7"])
+@pytest.mark.parametrize("command", ["simulate", "replicate-table1"])
+def test_threads_below_one_is_rejected(tmp_path, capsys, command, threads):
+    out = tmp_path / "out.csv"
+    args = {
+        "simulate": simulate_args(str(out)),
+        "replicate-table1": ["replicate-table1", "--trials", "1", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main(args + ["--threads", threads])
+    assert excinfo.value.code == 1
+    assert "error: argument --threads: invalid thread count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_stdout_when_no_out_flag(capsys):
     args = [a for a in simulate_args("unused", **{"--steps": "5"}) if a != "--out" and a != "unused"]
     assert main(args) == 0
@@ -600,6 +615,30 @@ def test_non_utf8_input_file_is_named(tmp_path, small_map_path, capsys, command,
     assert captured.err.startswith(f"error: {kind} file {bad}: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in captured.err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def with_byte_order_mark(tmp_path, path):
+    marked = tmp_path / f"bom-{Path(path).name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    return marked
+
+
+def test_validate_map_skips_byte_order_mark(tmp_path, default_map_path, capsys):
+    assert main(["validate-map", default_map_path]) == 0
+    plain = capsys.readouterr()
+    assert main(["validate-map", str(with_byte_order_mark(tmp_path, default_map_path))]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_infer_skips_byte_order_mark(tmp_path, small_map_path, capsys):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("1\n2\n4\n")
+    outputs = []
+    for path in (measurements, with_byte_order_mark(tmp_path, measurements)):
+        out = tmp_path / f"{path.stem}.csv"
+        assert main(infer_args(small_map_path, path, "--out", str(out))) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_infer_filter_skips_backward_pass_and_equals_both(tmp_path, small_map_path, monkeypatch):

@@ -81,10 +81,18 @@ def test_inverse_cdf_batch_matches_searchsorted():
     columns = rng.random((6, 40)) * (rng.random((6, 40)) < 0.6)
     columns[0] += 1e-3
     cdf = np.cumsum(columns / columns.sum(axis=0), axis=0)
-    u = rng.random(40)
+    # a column whose total rounds down and whose last state has probability 0
+    cdf = np.column_stack([cdf, np.cumsum([0.5, 0.4999999999999998, 0.0, 0.0, 0.0, 0.0])])
+    u = rng.random(41)
     u[:3] = (cdf[-1, 0], cdf[2, 1], 0.0)
-    expected = [min(int(np.searchsorted(cdf[:, i], u[i], side="right")), 5) + 1 for i in range(40)]
+    u[-1] = 1.0 - 2.0**-53  # the largest value Generator.random() returns
+    expected = [scalar_reference_draw(cdf[:, i], u[i]) for i in range(41)]
     assert experiment.inverse_cdf_sample(cdf, u).tolist() == expected
+
+
+def test_single_values_are_numpy_scalars():
+    assert isinstance(experiment.inverse_cdf_sample(np.cumsum([0.25, 0.75]), 0.5), np.integer)
+    assert isinstance(experiment.accuracy([1, 2, 3], [1, 2, 4]), np.floating)
 
 
 # ---- sample_trajectory ----
@@ -93,23 +101,32 @@ def test_inverse_cdf_batch_matches_searchsorted():
 def test_sample_trajectory_deterministic(default_transition, default_observation):
     a = experiment.sample_trajectory(default_transition, default_observation, 5, 50, seed=99)
     b = experiment.sample_trajectory(default_transition, default_observation, 5, 50, seed=99)
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_sample_trajectory_starts_at_initial_state(default_transition, default_observation):
     for initial in (5, 90):
-        sample = experiment.sample_trajectory(
+        states, measurements = experiment.sample_trajectory(
             default_transition, default_observation, initial, 10, seed=1
         )
-        assert sample.initial_state == initial
-        assert len(sample.true_states) == 10
-        assert len(sample.measurements) == 10
+        assert states.shape == measurements.shape == (10,)
+        assert default_transition[states[0] - 1, initial - 1] > 0.0
+
+
+def test_single_seed_is_column_zero_of_a_batch(default_transition, default_observation):
+    single = experiment.sample_trajectory(default_transition, default_observation, 90, 40, 17)
+    batch = experiment.sample_trajectory(default_transition, default_observation, 90, 40, [17])
+    for one, many in zip(single, batch, strict=True):
+        assert one.shape == (40,)
+        assert np.array_equal(one, many[:, 0])
 
 
 def test_sampled_pairs_have_positive_probability(default_transition, default_observation):
-    sample = experiment.sample_trajectory(default_transition, default_observation, 5, 200, seed=3)
-    previous = sample.initial_state
-    for state, measurement in zip(sample.true_states, sample.measurements):
+    states, measurements = experiment.sample_trajectory(
+        default_transition, default_observation, 5, 200, seed=3
+    )
+    previous = 5
+    for state, measurement in zip(states, measurements):
         assert default_transition[state - 1, previous - 1] > 0.0
         assert default_observation[measurement - 1, state - 1] > 0.0
         previous = state
@@ -148,7 +165,7 @@ def test_sample_trajectory_matches_scalar_draws(default_transition, default_obse
     for i, seed in enumerate(seeds):
         reference = scalar_reference_sample(default_transition, default_observation, 90, 60, seed)
         single = experiment.sample_trajectory(default_transition, default_observation, 90, 60, seed)
-        assert (single.true_states, single.measurements) == reference
+        assert tuple(tuple(c.tolist()) for c in single) == reference
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
 
 
@@ -240,12 +257,12 @@ def test_perfect_sensor_filter_is_always_right(default_transition):
     identity = np.eye(105)
     prior = inference.point_mass_belief(105, 5)
     for trial in range(3):
-        sample = experiment.sample_trajectory(
+        states, measurements = experiment.sample_trajectory(
             default_transition, identity, 5, 30, experiment.trial_seed(0, trial)
         )
-        result = inference.run_smoother(default_transition, identity, sample.measurements, prior)
+        result = inference.run_smoother(default_transition, identity, measurements, prior)
         estimates = tuple(inference.map_estimate(b) for b in result.filtered)
-        assert experiment.accuracy(sample.true_states, estimates) == 1.0
+        assert experiment.accuracy(states, estimates) == 1.0
 
 
 # ---- batched engine against a per-trial reference ----
@@ -257,14 +274,14 @@ def per_trial_reference(config):
     prior = inference.point_mass_belief(transition.shape[0], config.initial_state)
     rows = []
     for trial in range(config.trials):
-        sample = experiment.sample_trajectory(
+        states, measurements = experiment.sample_trajectory(
             transition, observation, config.initial_state, config.steps,
             experiment.trial_seed(config.master_seed, trial),
         )
-        result = inference.run_smoother(transition, observation, sample.measurements, prior)
+        result = inference.run_smoother(transition, observation, measurements, prior)
         rows.append((
-            sample.true_states,
-            sample.measurements,
+            states,
+            measurements,
             [inference.map_estimate(b) for b in result.filtered],
             [inference.map_estimate(b) for b in result.smoothed],
         ))

@@ -46,7 +46,7 @@ def filter_step(
 def run_filter(A, obs, measurements, initial) -> tuple[np.ndarray, float | np.ndarray]:
     """Filter beliefs after each measurement plus log p(y_1..y_T)."""
     messages = inference.forward_pass(A, obs, measurements, initial)
-    return messages.vectors, inference._log_likelihood(messages)
+    return messages.vectors, messages.log_scale_factors.sum(axis=0)
 
 
 # ---- filter_step ----
@@ -312,11 +312,13 @@ def vector_backward(transition, observation, measurements):
 def test_single_sequence_is_bit_identical_to_vector_recursion(default_transition, default_observation):
     from roadhmm import experiment
 
-    sample = experiment.sample_trajectory(default_transition, default_observation, 5, 2000, seed=4)
+    _, measurements = experiment.sample_trajectory(
+        default_transition, default_observation, 5, 2000, seed=4
+    )
     prior = inference.point_mass_belief(105, 5)
-    result = inference.run_smoother(default_transition, default_observation, sample.measurements, prior)
-    filtered = vector_forward(default_transition, default_observation, sample.measurements, prior)
-    backward = vector_backward(default_transition, default_observation, sample.measurements)
+    result = inference.run_smoother(default_transition, default_observation, measurements, prior)
+    filtered = vector_forward(default_transition, default_observation, measurements, prior)
+    backward = vector_backward(default_transition, default_observation, measurements)
     product = filtered * backward
     assert np.array_equal(result.filtered, filtered)
     assert np.array_equal(result.smoothed, product / product.sum(axis=1, keepdims=True))
@@ -409,6 +411,13 @@ def test_map_estimate_scale_invariant():
         belief = rng.random(int(rng.integers(1, 20)))
         scale = float(rng.uniform(1e-8, 1e8))
         assert inference.map_estimate(belief) == inference.map_estimate(belief * scale)
+
+
+def test_one_sequence_gives_numpy_scalars(two_state):
+    transition, observation, initial, measurements = two_state
+    result = inference.run_smoother(transition, observation, measurements, initial)
+    assert isinstance(result.log_likelihood, np.floating)
+    assert isinstance(inference.map_estimate(result.smoothed[-1]), np.integer)
 
 
 def test_map_estimate_rejects_empty():

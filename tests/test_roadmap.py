@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,37 @@ def overflow_graph(weight_1_2):
 def test_positive_weight_that_would_get_probability_zero_is_rejected(weight_1_2, message):
     with pytest.raises(MapError, match=f"^{re.escape(message)}$"):
         roadmap.build_transition_matrix(overflow_graph(weight_1_2))
+
+
+def reference_transition(graph):
+    """The two-array build that build_transition_matrix replaced, kept as its reference."""
+    src, dst, weight = (np.array(column) for column in zip(*graph.edges))
+    weights = np.zeros((graph.num_nodes, graph.num_nodes))
+    weights[dst - 1, src - 1] = weight
+    return weights / weights.sum(axis=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"num_nodes": 700, "seed": 5}, {"num_nodes": 12, "seed": 5}],
+    ids=["default", "generated700", "generated12"],
+)
+def test_transition_bytes_equal_two_array_reference(kwargs):
+    graph = roadmap.generate_default_map(**kwargs)
+    matrix = roadmap.build_transition_matrix(graph)
+    expected = reference_transition(graph)
+    assert matrix.shape == expected.shape and matrix.dtype == expected.dtype
+    assert matrix.tobytes() == expected.tobytes()
+
+
+def test_transition_peak_memory_is_one_matrix():
+    graph = roadmap.generate_default_map(num_nodes=700, seed=5)
+    tracemalloc.start()
+    try:
+        matrix = roadmap.build_transition_matrix(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix.nbytes
 
 
 # ---- generate_default_map ----
