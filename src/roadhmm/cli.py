@@ -12,6 +12,7 @@ import argparse
 import re
 import sys
 from contextlib import contextmanager, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -81,25 +82,27 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         map_source=args.map,
     )
-    traces = experiment.simulate_trials(config, smoother=args.method != "filter")
-    blank = [[""] * config.steps] * config.trials
-    filter_rows = traces.filter_estimates.tolist() if args.method != "smoother" else blank
-    smoother_rows = traces.smoother_estimates.tolist() if args.method != "filter" else blank
-    per_trial = zip(
-        traces.true_states.tolist(), traces.measurements.tolist(), filter_rows, smoother_rows
-    )
+    batches = experiment.simulate_trials(config, smoother=args.method != "filter")
+    first = next(batches)  # builds the model and runs the first batch before --out opens
+    kept = {"filter": [], "smoother": []} if args.method == "both" else {args.method: []}
+    trial = 0
     with _output(args.out) as out:
         out.write(RESULTS_HEADER + "\n")
-        for trial, columns in enumerate(per_trial):
-            for k, (state, measured, filter_est, smoother_est) in enumerate(zip(*columns), start=1):
-                out.write(f"{trial},{k},{state},{measured},{filter_est},{smoother_est}\n")
+        for states, measured, *estimates in chain([first], batches):
+            columns = [states.tolist(), measured.tolist()]
+            for method, estimate in zip(("filter", "smoother"), estimates):
+                if method in kept:
+                    kept[method].append(experiment.accuracy(states, estimate))
+                    columns.append(estimate.tolist())
+                else:
+                    columns.append([[""] * config.steps] * len(states))
+            for rows in zip(*columns):
+                for k, (state, measurement, filter_est, smoother_est) in enumerate(zip(*rows), 1):
+                    out.write(f"{trial},{k},{state},{measurement},{filter_est},{smoother_est}\n")
+                trial += 1
     summary = sys.stderr if args.out in (None, "-") else sys.stdout
-    if args.method != "smoother":
-        mean = np.mean(experiment.accuracy(traces.true_states, traces.filter_estimates))
-        print(f"filter mean accuracy: {mean:.4f}", file=summary)
-    if args.method != "filter":
-        mean = np.mean(experiment.accuracy(traces.true_states, traces.smoother_estimates))
-        print(f"smoother mean accuracy: {mean:.4f}", file=summary)
+    for method, accuracies in kept.items():
+        print(f"{method} mean accuracy: {np.mean(np.concatenate(accuracies)):.4f}", file=summary)
     return EXIT_OK
 
 
@@ -142,7 +145,7 @@ def _cmd_export_matrices(args) -> int:
 
 def _parse_measurements(text: str, num_nodes: int) -> list[int]:
     measurements = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         token = line.strip()
         if not token:
             continue

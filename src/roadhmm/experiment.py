@@ -43,19 +43,6 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return splitmix64((master_seed + (trial + 1) * _GOLDEN) & _MASK64)
 
 
-@dataclass(frozen=True, eq=False)
-class TrialTraces:
-    """Every trial of a run: (trials, steps) int arrays of node ids, row i for trial i.
-
-    ``smoother_estimates`` is None when the smoother was not run.
-    """
-
-    true_states: np.ndarray
-    measurements: np.ndarray
-    filter_estimates: np.ndarray
-    smoother_estimates: np.ndarray | None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     initial_state: int
@@ -186,13 +173,16 @@ def batch_width(steps: int, num_states: int) -> int:
     return max(1, _BATCH_BYTES // (8 * steps * num_states))
 
 
-def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTraces:
-    """Run all trials of a configuration; deterministic for fixed config.
+def simulate_trials(config: ExperimentConfig, smoother: bool = True):
+    """Yield a configuration's trials one batch at a time, in trial order.
 
-    Each trial gets its own seed via ``trial_seed``. Trials run in batches of
-    ``batch_width`` through one sampling and inference pass each; with
-    ``smoother=False`` the backward pass and the smoothing product are
-    skipped and ``smoother_estimates`` is None.
+    Each item is (true_states, measurements, filter_estimates,
+    smoother_estimates): (W, steps) int arrays of node ids, row i for the
+    batch's i-th trial, with W = ``batch_width`` and a shorter last batch.
+    Each trial gets its own seed via ``trial_seed``, so the rows are a
+    function of the config alone. With ``smoother=False`` the backward pass
+    and the smoothing product are skipped and ``smoother_estimates`` is None.
+    The model is built and the config checked at the first ``next``.
     """
     graph, transition, observation = build_model(config.map_source, config.sigma)
     prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
@@ -201,9 +191,6 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     cdfs = (np.cumsum(transition, axis=0), np.cumsum(observation, axis=0))
-    shape = (config.trials, config.steps)
-    states, measurements, filtered = (np.empty(shape, dtype=np.int64) for _ in range(3))
-    smoothed = np.empty(shape, dtype=np.int64) if smoother else None
     width = batch_width(config.steps, graph.num_nodes)
     for start in range(0, config.trials, width):
         batch = slice(start, start + width)
@@ -211,27 +198,25 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True) -> TrialTra
         x, y = sample_trajectory(
             transition, observation, config.initial_state, config.steps, seeds, cdfs=cdfs
         )
-        states[batch], measurements[batch] = x.T, y.T
+        smoothed = None
         try:
             forward = inference.forward_pass(transition, observation, y, prior)
-            filtered[batch] = inference.map_estimate(forward.vectors).T
+            filtered = inference.map_estimate(forward.vectors).T
             if smoother:
                 backward = inference.backward_pass(transition, observation, y)
-                smoothed[batch] = inference.map_estimate(inference.smooth(forward, backward)).T
+                smoothed = inference.map_estimate(inference.smooth(forward, backward)).T
         except inference.InferenceError as exc:
             raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
-    return TrialTraces(states, measurements, filtered, smoothed)
+        yield x.T, y.T, filtered, smoothed
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Sample, filter and smooth ``config.trials`` trajectories; report accuracies."""
-    traces = simulate_trials(config)
-    return ExperimentResult(
-        filter_accuracies=tuple(accuracy(traces.true_states, traces.filter_estimates).tolist()),
-        smoother_accuracies=tuple(
-            accuracy(traces.true_states, traces.smoother_estimates).tolist()
-        ),
-    )
+    filter_accuracies, smoother_accuracies = [], []
+    for states, _, filtered, smoothed in simulate_trials(config):
+        filter_accuracies += accuracy(states, filtered).tolist()
+        smoother_accuracies += accuracy(states, smoothed).tolist()
+    return ExperimentResult(tuple(filter_accuracies), tuple(smoother_accuracies))
 
 
 def replicate_table1(master_seed: int = 0, trials: int = 500) -> tuple[Table1Row, ...]:

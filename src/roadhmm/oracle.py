@@ -20,7 +20,8 @@ def enumerate_posteriors(
     """Exact filtered and smoothed marginals plus the evidence p(y_1..y_T).
 
     filtered[k-1] sums over all paths consistent with measurements 1..k;
-    smoothed[k-1] over all paths consistent with the full sequence.
+    smoothed[k-1] over all paths consistent with the full sequence. Raises
+    ValueError at the first step k whose prefix evidence p(y_1..y_k) is 0.
     """
     A = np.asarray(A, dtype=float)
     obs = np.asarray(obs, dtype=float)
@@ -34,6 +35,8 @@ def enumerate_posteriors(
     filtered = np.empty((steps, m))
     for k in range(1, steps + 1):
         evidence_k, marginals_k = _sum_over_paths(A, obs, initial, y[:k])
+        if evidence_k == 0:
+            raise ValueError(f"step {k}: measurement impossible under model")
         filtered[k - 1] = marginals_k[k - 1] / evidence_k
     evidence, marginals = _sum_over_paths(A, obs, initial, y)
     smoothed = marginals / evidence if steps else np.empty((0, m))

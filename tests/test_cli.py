@@ -555,6 +555,35 @@ def test_infer_invalid_token_names_line(tmp_path, small_map_path, capsys):
         assert f"invalid measurement {token!r}" in err
 
 
+@pytest.mark.parametrize(
+    "data,line,token",
+    [(b"5\x0c6\n7\n", 1, "5\x0c6"), (b"5\x0c\nx\n", 2, "x"), (b"5 6\n", 1, "5 6")],
+    ids=["form-feed-inside", "form-feed-at-end", "space-inside"],
+)
+def test_infer_counts_lines_as_an_editor_does(tmp_path, capsys, data, line, token):
+    # only "\n" ends a line (after universal newlines), not a form feed or U+2028
+    measurements = tmp_path / "meas.txt"
+    measurements.write_bytes(data)
+    out = tmp_path / "trace.csv"
+    args = ["infer", "--measurements", str(measurements), "--init-state", "5", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: line {line}: invalid measurement {token!r}\n"
+    assert not out.exists()
+
+
+def test_infer_still_ends_lines_at_crlf_and_lone_cr(tmp_path):
+    mixed, plain = tmp_path / "mixed.txt", tmp_path / "plain.txt"
+    mixed.write_bytes(b"5\r\n6\r7\n")
+    plain.write_bytes(b"5\n6\n7\n")
+    outputs = []
+    for path in (mixed, plain):
+        out = tmp_path / f"{path.stem}.csv"
+        assert main(["infer", "--measurements", str(path), "--init-state", "5", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert [row.split(",")[2] for row in outputs[0].decode().splitlines()[1:4]] == ["5", "6", "7"]
+
+
 @pytest.mark.parametrize("sigma", ["inf", "nan"])
 def test_infer_rejects_non_finite_sigma(tmp_path, small_map_path, capsys, sigma):
     measurements = tmp_path / "meas.txt"

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import experiment, inference, roadmap
+from roadhmm import cli, experiment, inference, roadmap
 from roadhmm.experiment import ExperimentConfig
 
 
@@ -289,12 +291,14 @@ def per_trial_reference(config):
 
 
 def assert_matches_reference(config):
-    traces = experiment.simulate_trials(config)
+    true_states, measured, filter_estimates, smoother_estimates = (
+        np.concatenate(column) for column in zip(*experiment.simulate_trials(config))
+    )
     states, measurements, filtered, smoothed = per_trial_reference(config)
-    assert np.array_equal(traces.true_states, states)
-    assert np.array_equal(traces.measurements, measurements)
-    assert np.array_equal(traces.filter_estimates, filtered)
-    assert np.array_equal(traces.smoother_estimates, smoothed)
+    assert np.array_equal(true_states, states)
+    assert np.array_equal(measured, measurements)
+    assert np.array_equal(filter_estimates, filtered)
+    assert np.array_equal(smoother_estimates, smoothed)
 
 
 def test_engine_matches_per_trial_reference_with_partial_batch():
@@ -316,10 +320,13 @@ def test_engine_matches_per_trial_reference_at_width_one(tmp_path):
 
 def test_engine_filter_only_skips_smoother():
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=30, master_seed=4)
-    both = experiment.simulate_trials(config)
-    filter_only = experiment.simulate_trials(config, smoother=False)
-    assert filter_only.smoother_estimates is None
-    assert np.array_equal(filter_only.filter_estimates, both.filter_estimates)
+    both = list(experiment.simulate_trials(config))
+    filter_only = list(experiment.simulate_trials(config, smoother=False))
+    assert all(batch[3] is None for batch in filter_only)
+    assert np.array_equal(
+        np.concatenate([batch[2] for batch in filter_only]),
+        np.concatenate([batch[2] for batch in both]),
+    )
 
 
 def test_engine_derives_seeds_one_batch_at_a_time(monkeypatch):
@@ -340,7 +347,7 @@ def test_engine_derives_seeds_one_batch_at_a_time(monkeypatch):
     monkeypatch.setattr(inference, "forward_pass", stop)
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=1000, master_seed=0)
     with pytest.raises(Stop):
-        experiment.simulate_trials(config)
+        next(experiment.simulate_trials(config))
     assert derived == list(range(experiment.batch_width(50, 105)))
 
 
@@ -358,7 +365,94 @@ def test_engine_error_names_run_trial_and_step(monkeypatch):
     monkeypatch.setattr(experiment, "sample_trajectory", corrupt_second_batch)
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=30, master_seed=1)
     with pytest.raises(inference.InferenceError, match="^trial 25: step 3: measurement 0 out of range"):
-        experiment.simulate_trials(config)
+        list(experiment.simulate_trials(config))
+
+
+# ---- the stream: rows across batch boundaries, memory flat in the trial count ----
+
+
+@pytest.fixture(scope="module")
+def fifty_trials():
+    """Per-trial reference of 50 default-map trials, which the engine runs as 24 + 24 + 2."""
+    assert experiment.batch_width(50, 105) == 24
+    return per_trial_reference(ExperimentConfig(initial_state=5, sigma=1.0, trials=50, master_seed=7))
+
+
+@pytest.mark.parametrize("method", ["filter", "smoother", "both"])
+def test_simulate_rows_across_batches_match_per_trial_reference(tmp_path, capsys, fifty_trials, method):
+    states, measurements, filtered, smoothed = fifty_trials
+    shown = {name: method in (name, "both") for name in ("filter", "smoother")}
+    expected = [cli.RESULTS_HEADER] + [
+        f"{trial},{k + 1},{states[trial, k]},{measurements[trial, k]},"
+        f"{filtered[trial, k] if shown['filter'] else ''},"
+        f"{smoothed[trial, k] if shown['smoother'] else ''}"
+        for trial in range(50)
+        for k in range(50)
+    ]
+    summary = [
+        f"{name} mean accuracy: {np.mean(experiment.accuracy(states, estimates)):.4f}"
+        for name, estimates in (("filter", filtered), ("smoother", smoothed))
+        if shown[name]
+    ]
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--init", "5", "--trials", "50", "--seed", "7", "--method", method,
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    assert out.read_text().splitlines() == expected
+    assert capsys.readouterr().out.splitlines() == summary
+
+
+def test_simulate_error_in_a_later_batch_exits_1_after_the_rows_before_it(tmp_path, capsys, monkeypatch):
+    sample = experiment.sample_trajectory
+    calls = []
+
+    def corrupt_second_batch(*args, **kwargs):
+        states, measurements = sample(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            measurements[2, 1] = 0
+        return states, measurements
+
+    monkeypatch.setattr(experiment, "sample_trajectory", corrupt_second_batch)
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--init", "5", "--trials", "30", "--seed", "1", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: trial 25: step 3: measurement 0 out of range")
+    rows = out.read_text().splitlines()
+    assert rows[0] == cli.RESULTS_HEADER
+    assert [row.split(",", 1)[0] for row in rows[1:]] == [str(t) for t in range(24) for _ in range(50)]
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_peak_flat_in_trials(run):
+    """Peak at 2000 trials within 256 KiB of the peak at two full batches (W = 124 at T = 10)."""
+    small = 2 * experiment.batch_width(10, 105)
+    run(small)  # warm-up: one-time allocations then count in neither peak
+    assert traced_peak(lambda: run(2000)) - traced_peak(lambda: run(small)) <= 256 * 1024
+
+
+def test_run_experiment_peak_memory_is_flat_in_trials():
+    assert_peak_flat_in_trials(
+        lambda trials: experiment.run_experiment(ExperimentConfig(5, 1.0, steps=10, trials=trials))
+    )
+
+
+def test_simulate_peak_memory_is_flat_in_trials(tmp_path, capsys):
+    def run(trials):
+        args = ["simulate", "--init", "5", "--steps", "10", "--trials", str(trials),
+                "--method", "filter", "--out", str(tmp_path / "sim.csv")]
+        assert cli.main(args) == 0
+
+    assert_peak_flat_in_trials(run)
 
 
 # ---- replicate_table1 ----

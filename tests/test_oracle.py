@@ -137,3 +137,41 @@ def test_chunked_enumeration_matches_single_chunk(monkeypatch, random_instance):
     assert_allclose(chunked[0], full[0], atol=1e-12)
     assert_allclose(chunked[1], full[1], atol=1e-12)
     assert chunked[2] == pytest.approx(full[2], rel=1e-12)
+
+
+def sparse_stochastic(rng, shape):
+    """Column-stochastic weights with about half the entries exactly 0, but no all-zero column."""
+    values = (0.05 + rng.random(shape)) * (rng.random(shape) < 0.5)
+    empty = np.flatnonzero(values.sum(axis=0) == 0)
+    values[rng.integers(0, shape[0], size=empty.size), empty] = 1.0
+    return values / values.sum(axis=0)
+
+
+def test_impossible_prefix_raises_in_oracle_and_forward_pass_at_one_step():
+    rng = np.random.default_rng(59)
+    impossible = 0
+    for _ in range(300):
+        m, steps = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        transition, observation = sparse_stochastic(rng, (m, m)), sparse_stochastic(rng, (m, m))
+        initial = sparse_stochastic(rng, (m, 1))[:, 0]
+        measurements = rng.integers(1, m + 1, size=steps)
+        try:
+            filtered, smoothed, evidence = oracle.enumerate_posteriors(
+                transition, observation, initial, measurements
+            )
+        except ValueError as exc:
+            impossible += 1
+            with pytest.raises(inference.InferenceError) as caught:
+                inference.forward_pass(transition, observation, measurements, initial)
+            assert str(caught.value) == str(exc)  # "step k: measurement impossible under model"
+            continue
+        result = inference.run_smoother(transition, observation, measurements, initial)
+        assert_allclose(result.filtered, filtered, rtol=0, atol=1e-12)
+        assert_allclose(result.smoothed, smoothed, rtol=0, atol=1e-12)
+        assert math.exp(result.log_likelihood) == pytest.approx(evidence, rel=1e-12)
+    assert 50 < impossible < 250
+
+
+def test_oracle_rejects_impossible_measurement_without_dividing():
+    with pytest.raises(ValueError, match="^step 1: measurement impossible under model$"):
+        oracle.enumerate_posteriors(np.eye(2), np.eye(2), np.array([1.0, 0.0]), [2])
