@@ -2,7 +2,7 @@
 
 The modules are the API: ``roadmap`` (map, transition matrix), ``sensor``
 (observation model), ``inference`` (filter, smoother, MAP estimate),
-``experiment`` (sampling, Monte Carlo comparison), ``matrixio``, ``oracle``, ``cli``.
+``experiment`` (sampling, Monte Carlo comparison), ``matrixio``, ``cli``.
 """
 
 # bench/workloads.py builds its generated map through these two package names.

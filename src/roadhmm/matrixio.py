@@ -18,16 +18,6 @@ def write_matrix_csv(matrix: np.ndarray, out: TextIO) -> None:
         out.write(format_row(row) + "\n")
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as handle:
-        rows = [
-            [float(token) for token in line.split(",")]
-            for line in handle.read().splitlines()
-            if line
-        ]
-    return np.array(rows, dtype=float)
-
-
 def write_matrix_pgm(matrix: np.ndarray, out: TextIO) -> None:
     """Write a matrix as plain-text grayscale (PGM P2), one image row per line.
 

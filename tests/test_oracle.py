@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import inference, oracle
+import oracle
+from roadhmm import inference
 
 
 def hand_enumerate(transition, observation, initial, measurements):

@@ -3,7 +3,12 @@
 Examples are derandomized, so every run checks the same cases.
 """
 
+import ast
+import contextlib
+import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from roadhmm import inference, oracle, roadmap  # noqa: E402
+import oracle  # noqa: E402
+from roadhmm import cli, inference, roadmap  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -79,3 +85,104 @@ def test_batch_equals_single_sequences(model):
         assert_allclose(batch.filtered[:, n], single.filtered, rtol=1e-12)
         assert_allclose(batch.smoothed[:, n], single.smoothed, rtol=1e-12)
         assert batch.log_likelihood[n] == pytest.approx(single.log_likelihood, rel=1e-12)
+
+
+# ---- the file contract of the CLI, driven in process ----
+# Whatever the measurement file or map JSON holds, main returns 0, 1 or 2 and
+# raises nothing, --out exists exactly when it returns 0, and an "error: line L"
+# message names the line as an editor numbers it.
+
+CONTRACT = settings(PROPERTY, max_examples=150)
+
+RING4 = {"num_nodes": 4, "edges": [{"from": n, "to": n % 4 + 1, "weight": 1.0} for n in range(1, 5)]}
+
+measurement_tokens = st.sampled_from(
+    ["1", "2", "3", "4", "+2", "-1", "-0", "03", "007", "0", "1" + "0" * 39, "1_0", "٣", "1.0", "x", ""]
+)
+separators = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", " "])
+measurement_files = st.builds(
+    lambda bom, pieces: "\ufeff" * bom + "".join(token + sep for token, sep in pieces),
+    st.booleans(),
+    st.lists(st.tuples(measurement_tokens, separators), max_size=12),
+)
+
+odd_values = st.one_of(
+    st.integers(-1, 5),
+    st.sampled_from([10**40, -(10**40), 2**63, True, False, None, "1", "x", ""]),
+    st.floats(),
+)
+
+
+@st.composite
+def map_objects(draw):
+    """A valid map of at most 3 nodes with at most one field set to an odd value."""
+    num_nodes = draw(st.integers(1, 3))
+    node = st.integers(1, num_nodes)
+    weight = st.integers(0, 3) | st.floats(0, 10)
+    edge = st.fixed_dictionaries({"from": node, "to": node, "weight": weight})
+    edges = draw(st.lists(edge, max_size=4, unique_by=lambda e: (e["from"], e["to"])))
+    loops = {e["from"] for e in edges if e["from"] == e["to"]}
+    edges += [{"from": n, "to": n, "weight": 1} for n in range(1, num_nodes + 1) if n not in loops]
+    document = {"num_nodes": num_nodes, "edges": edges}
+    field = draw(st.sampled_from([None, "num_nodes", "from", "to", "weight"]))
+    if field == "num_nodes":
+        document[field] = draw(odd_values)
+    elif field:
+        draw(st.sampled_from(edges))[field] = draw(odd_values)
+    return document
+
+
+map_documents = map_objects() | st.sampled_from([[], 3, "map", None, 1.5])
+
+
+def run_main(argv):
+    """Exit code and stderr of one in-process ``cli.main`` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    return code, err.getvalue()
+
+
+def editor_lines(text):
+    """The lines of a measurement file as an editor numbers them."""
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "ring4.json").write_text(json.dumps(RING4), encoding="utf-8")
+    return path
+
+
+@CONTRACT
+@given(measurement_files)
+def test_infer_keeps_the_file_contract(contract_dir, text):
+    source, out = contract_dir / "measurements.txt", contract_dir / "beliefs.csv"
+    source.write_bytes(text.encode("utf-8"))
+    out.unlink(missing_ok=True)
+    code, err = run_main(
+        ["infer", "--map", str(contract_dir / "ring4.json"), "--init-state", "1",
+         "--measurements", str(source), "--out", str(out)]
+    )
+    assert out.exists() == (code == 0)
+    named = re.fullmatch(r"error: line (\d+): (.*)\n", err, re.S)
+    if named:
+        line = editor_lines(text)[int(named[1]) - 1].strip()
+        invalid = re.fullmatch(r"invalid measurement (.*)", named[2], re.S)
+        if invalid:
+            assert ast.literal_eval(invalid[1]) == line
+        else:
+            assert int(re.fullmatch(r"measurement (-?\d+) out of range 1\.\.4", named[2])[1]) == int(line)
+
+
+@CONTRACT
+@given(map_documents)
+def test_map_commands_keep_the_file_contract(contract_dir, document):
+    source, out = contract_dir / "map.json", contract_dir / "trials.csv"
+    source.write_text(json.dumps(document), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    run_main(["validate-map", str(source)])
+    code, _ = run_main(["simulate", "--map", str(source), "--init", "1", "--steps", "3", "--out", str(out)])
+    assert out.exists() == (code == 0)
