@@ -93,16 +93,48 @@ def _sample_std(values) -> float:
 
 
 def inverse_cdf_sample(cdf, u):
-    """Smallest node id whose cumulative probability exceeds ``u``.
+    """Smallest 1-based position whose cumulative probability exceeds ``u``.
 
     ``cdf`` is the running sum of a probability column in ascending node-id
-    order; zero-probability states are never selected. An (M,) column and a
-    scalar u give a numpy integer, (M, N) columns and N uniforms N node ids.
-    Counting entries <= u equals ``searchsorted(side="right")`` on a sorted
-    column; a u at or beyond a rounded-down total is clamped just below it.
+    order, over all M entries (the position is then the node id) or over the
+    nonzeros only, as in ``column_cdfs``. An (M,) column and a scalar u give
+    a numpy integer, (M, N) columns and N uniforms N positions. Counting
+    entries <= u equals ``searchsorted(side="right")`` on a sorted column; a
+    u at or beyond a rounded-down total is clamped just below it, so a
+    zero-probability state is never selected.
     """
     cdf = np.asarray(cdf)
     return (cdf <= np.minimum(u, np.nextafter(cdf[-1], 0.0))).sum(axis=0) + 1
+
+
+def column_cdfs(matrix):
+    """(ids, cdf), both (M, K) with K the most nonzeros in any column.
+
+    Row i holds column i's nonzero node ids in ascending order, padded with
+    0, and the running sum of their values, padded with the column total.
+    Adding 0.0 leaves a running sum unchanged, so ``cdf[i]`` equals the dense
+    ``np.cumsum(matrix, axis=0)[ids[i] - 1, i]`` bit for bit, padding included.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    ids = np.zeros((matrix.shape[1], np.count_nonzero(matrix, axis=0).max()), dtype=np.int64)
+    cdf = np.zeros(ids.shape)
+    # columns a chunk at a time, so the index arrays of a dense matrix stay small
+    chunk = max(1, _BATCH_BYTES // (8 * matrix.shape[0]))
+    for start in range(0, matrix.shape[1], chunk):
+        block = matrix[:, start:start + chunk].T
+        nonzero = block != 0
+        columns, rows = np.nonzero(nonzero)
+        positions = np.arange(columns.size) - np.searchsorted(columns, columns)
+        ids[start + columns, positions] = rows + 1
+        cdf[start + columns, positions] = block[nonzero]
+    return ids, np.cumsum(cdf, axis=1, out=cdf)
+
+
+def _draw(column_cdf, x, u):
+    """Node ids drawn from columns ``x`` (1-based) with uniforms ``u``."""
+    ids, cdf = column_cdf
+    rows = x - 1
+    return ids[rows, inverse_cdf_sample(cdf[rows].T, u) - 1]
 
 
 def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None):
@@ -116,8 +148,9 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
 
     Returns (true_states, measurements), int arrays of node ids: (steps,)
     for one ``seed``, (steps, N) with one column per seed for a sequence of N
-    seeds. ``cdfs`` is ``(np.cumsum(A, axis=0), np.cumsum(obs, axis=0))``
-    for a caller that samples many batches.
+    seeds. ``cdfs`` is ``(column_cdfs(A), column_cdfs(obs))`` for a caller
+    that samples many batches; the draws equal those from the dense
+    ``np.cumsum(matrix, axis=0)`` columns.
     """
     m = np.shape(A)[0]
     if not 1 <= initial_state <= m:
@@ -125,8 +158,7 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if cdfs is None:
-        cdfs = (np.cumsum(np.asarray(A, dtype=float), axis=0),
-                np.cumsum(np.asarray(obs, dtype=float), axis=0))
+        cdfs = (column_cdfs(A), column_cdfs(obs))
     transition_cdf, observation_cdf = cdfs
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
@@ -136,8 +168,8 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
     measurements = np.empty_like(states)
     x = np.full(len(seeds), int(initial_state))
     for k in range(steps):
-        x = states[k] = inverse_cdf_sample(transition_cdf[:, x - 1], uniforms[k, 0])
-        measurements[k] = inverse_cdf_sample(observation_cdf[:, x - 1], uniforms[k, 1])
+        x = states[k] = _draw(transition_cdf, x, uniforms[k, 0])
+        measurements[k] = _draw(observation_cdf, x, uniforms[k, 1])
     return (states[:, 0], measurements[:, 0]) if single else (states, measurements)
 
 
@@ -162,9 +194,10 @@ def build_model(map_source: str, sigma: float):
         graph = roadmap.generate_default_map()
     else:
         graph = roadmap.read_map(map_source)
+    # Observation first, with the confusion base as a temporary: the base is
+    # freed before A is allocated, so at most two M x M arrays are alive.
+    observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
     transition = roadmap.build_transition_matrix(graph)
-    base = sensor.build_confusion_base(graph)
-    observation = sensor.apply_gaussian_noise(base, sigma)
     return graph, transition, observation
 
 
@@ -190,7 +223,7 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
         raise ValueError("steps must be >= 1")
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
-    cdfs = (np.cumsum(transition, axis=0), np.cumsum(observation, axis=0))
+    cdfs = (column_cdfs(transition), column_cdfs(observation))
     width = batch_width(config.steps, graph.num_nodes)
     for start in range(0, config.trials, width):
         batch = slice(start, start + width)

@@ -314,6 +314,21 @@ def test_sigma_whose_kernel_is_not_finite_exits_1(tmp_path, capsys, command, sig
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "export-matrices"])
+def test_sigma_is_reported_before_a_vanishing_map_weight(tmp_path, capsys, command):
+    # The observation model is built before the transition matrix, so of two
+    # invalid inputs the sigma is the one named.
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(degenerate_map(5e-324)))
+    args, outputs = sigma_args(command, "1e300", tmp_path)
+    assert main([*args, "--map", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma must be positive and finite")
+    assert "got 1e+300" in err and "rounds to probability 0" not in err
+    assert "Traceback" not in err
+    assert not any(output.exists() for output in outputs)
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "export-matrices"])
 @pytest.mark.parametrize("sigma", ["1e-6", "1e4"])
 def test_extreme_but_finite_sigma_still_runs(tmp_path, capsys, command, sigma):
     args, outputs = sigma_args(command, sigma, tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import cli, experiment, inference, roadmap
+from roadhmm import cli, experiment, inference, roadmap, sensor
 from roadhmm.experiment import ExperimentConfig
 
 
@@ -97,6 +97,80 @@ def test_single_values_are_numpy_scalars():
     assert isinstance(experiment.accuracy([1, 2, 3], [1, 2, 4]), np.floating)
 
 
+# ---- column_cdfs ----
+
+
+def generated_model(sigma, num_nodes=700, seed=5):
+    graph = roadmap.generate_default_map(num_nodes=num_nodes, seed=seed)
+    observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
+    return roadmap.build_transition_matrix(graph), observation
+
+
+def assert_column_cdfs_match_dense(matrix):
+    """Each row is the dense cumsum at the column's nonzeros, padded with the column total."""
+    ids, cdf = experiment.column_cdfs(matrix)
+    dense = np.cumsum(matrix, axis=0)
+    counts = np.count_nonzero(matrix, axis=0)
+    assert ids.shape == cdf.shape == (matrix.shape[1], counts.max())
+    for i, n in enumerate(counts):
+        assert np.all(np.diff(ids[i, :n]) > 0)
+        assert np.array_equal(ids[i, :n], np.flatnonzero(matrix[:, i]) + 1)
+        assert np.array_equal(cdf[i, :n], dense[ids[i, :n] - 1, i])
+        assert np.array_equal(cdf[i, n:], np.full(cdf.shape[1] - n, dense[-1, i]))
+    # a draw through the padded pair is the dense draw, at cdf values and at the largest u
+    columns = np.arange(matrix.shape[1])
+    u = np.random.default_rng(0).random(columns.size)
+    u[::3] = cdf[::3, 0]
+    u[-1] = 1.0 - 2.0**-53  # the largest value Generator.random() returns
+    drawn = ids[columns, experiment.inverse_cdf_sample(cdf.T, u) - 1]
+    assert np.array_equal(drawn, experiment.inverse_cdf_sample(dense, u))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_column_cdfs_match_dense_cumsum_on_default_model(sigma):
+    _, transition, observation = experiment.build_model("default", sigma)
+    assert_column_cdfs_match_dense(transition)
+    assert_column_cdfs_match_dense(observation)
+
+
+def test_column_cdfs_match_dense_cumsum_on_generated_map():
+    for matrix in generated_model(1.0):
+        assert_column_cdfs_match_dense(matrix)
+
+
+def test_column_cdfs_of_dense_columns_hold_little_beyond_their_output():
+    # at sigma 1e4 every observation column is nonzero, so K = M and the two
+    # outputs take 2 M x M; the index arrays are built a chunk of columns at a time
+    num_nodes = 1500
+    _, observation = generated_model(1e4, num_nodes=num_nodes, seed=0)
+    assert np.count_nonzero(observation) == num_nodes**2
+    peak = traced_peak(lambda: experiment.column_cdfs(observation))
+    assert peak <= 3 * observation.nbytes
+
+
+def test_column_cdfs_of_identity_have_width_one():
+    ids, cdf = experiment.column_cdfs(np.eye(3))
+    assert ids.tolist() == [[1], [2], [3]] and cdf.tolist() == [[1.0]] * 3
+    assert_column_cdfs_match_dense(np.eye(3))
+
+
+def test_column_cdfs_keep_an_entry_the_running_sum_absorbs():
+    matrix = np.array([[0.5, 1.0], [1e-300, 0.0], [0.5, 0.0]])
+    ids, cdf = experiment.column_cdfs(matrix)
+    assert ids.tolist() == [[1, 2, 3], [1, 0, 0]]
+    assert cdf.tolist() == [[0.5, 0.5, 1.0], [1.0, 1.0, 1.0]]
+    assert_column_cdfs_match_dense(matrix)
+
+
+def test_column_cdfs_draw_below_a_rounded_down_total():
+    matrix = np.array([[0.5, 1.0], [0.4999999999999998, 0.0], [0.0, 0.0]])
+    assert_column_cdfs_match_dense(matrix)
+    ids, cdf = experiment.column_cdfs(matrix)
+    largest = 1.0 - 2.0**-53
+    dense = experiment.inverse_cdf_sample(np.cumsum(matrix[:, 0]), largest)
+    assert ids[0, experiment.inverse_cdf_sample(cdf[0], largest) - 1] == dense == 2
+
+
 # ---- sample_trajectory ----
 
 
@@ -168,6 +242,19 @@ def test_sample_trajectory_matches_scalar_draws(default_transition, default_obse
         reference = scalar_reference_sample(default_transition, default_observation, 90, 60, seed)
         single = experiment.sample_trajectory(default_transition, default_observation, 90, 60, seed)
         assert tuple(tuple(c.tolist()) for c in single) == reference
+        assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
+
+
+@pytest.mark.parametrize("model", ["generated700-sigma1", "default-sigma2"])
+def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
+    if model == "generated700-sigma1":
+        transition, observation = generated_model(1.0)
+    else:
+        _, transition, observation = experiment.build_model("default", 2.0)
+    seeds = [experiment.trial_seed(8, t) for t in range(6)]
+    states, measurements = experiment.sample_trajectory(transition, observation, 5, 60, seeds)
+    for i, seed in enumerate(seeds):
+        reference = scalar_reference_sample(transition, observation, 5, 60, seed)
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
 
 
@@ -431,6 +518,15 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_simulate_trials_holds_at_most_two_model_matrices(tmp_path):
+    num_nodes = 1500
+    path = tmp_path / "map.json"
+    path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=num_nodes, seed=0)))
+    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=1, trials=1, map_source=str(path))
+    peak = traced_peak(lambda: next(experiment.simulate_trials(config)))
+    assert peak <= 2.75 * num_nodes**2 * 8
 
 
 def assert_peak_flat_in_trials(run):
