@@ -177,8 +177,10 @@ def _cmd_infer(args) -> int:
     if args.method != "smoother":
         beliefs["filter"] = forward.vectors
     if args.method != "filter":
-        backward = inference.backward_pass(transition, observation, measurements)
-        beliefs["smoother"] = inference.smooth(forward, backward)
+        # the smoothed beliefs reuse the backward messages' storage: two (T, M) arrays, not three
+        beliefs["smoother"] = inference.smooth(
+            forward, inference.backward_pass(transition, observation, measurements)
+        )
     estimates = {method: inference.map_estimate(b).tolist() for method, b in beliefs.items()}
     header = "method,k,measured,estimate," + ",".join(
         f"p_{i}" for i in range(1, graph.num_nodes + 1)

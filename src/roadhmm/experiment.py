@@ -116,17 +116,22 @@ def column_cdfs(matrix):
     ``np.cumsum(matrix, axis=0)[ids[i] - 1, i]`` bit for bit, padding included.
     """
     matrix = np.asarray(matrix, dtype=float)
-    ids = np.zeros((matrix.shape[1], np.count_nonzero(matrix, axis=0).max()), dtype=np.int64)
+    n = matrix.shape[1]
+    ids = np.zeros((n, np.count_nonzero(matrix, axis=0).max()), dtype=np.int64)
     cdf = np.zeros(ids.shape)
-    # columns a chunk at a time, so the index arrays of a dense matrix stay small
-    chunk = max(1, _BATCH_BYTES // (8 * matrix.shape[0]))
-    for start in range(0, matrix.shape[1], chunk):
-        block = matrix[:, start:start + chunk].T
-        nonzero = block != 0
-        columns, rows = np.nonzero(nonzero)
-        positions = np.arange(columns.size) - np.searchsorted(columns, columns)
-        ids[start + columns, positions] = rows + 1
-        cdf[start + columns, positions] = block[nonzero]
+    filled = np.zeros(n, dtype=np.intp)  # nonzeros placed so far, per column
+    # rows a block at a time, so the index arrays of a dense matrix stay small
+    chunk = max(1, _BATCH_BYTES // (8 * n))
+    for start in range(0, matrix.shape[0], chunk):
+        block = matrix[start:start + chunk].reshape(-1)
+        hits = np.flatnonzero(block != 0)
+        # regroup by column; the stable sort keeps each column's rows ascending
+        hits = hits[np.argsort(hits % n, kind="stable")]
+        rows, columns = np.divmod(hits, n)
+        positions = filled[columns] + np.arange(hits.size) - np.searchsorted(columns, columns)
+        ids[columns, positions] = start + rows + 1
+        cdf[columns, positions] = block[hits]
+        filled += np.bincount(columns, minlength=n)
     return ids, np.cumsum(cdf, axis=1, out=cdf)
 
 
@@ -188,17 +193,23 @@ def accuracy(true_states, estimates):
     return np.mean(truth == estimate, axis=-1)
 
 
-def build_model(map_source: str, sigma: float):
-    """Load (or generate) the map and derive its transition and observation matrices."""
+def _read_graph(map_source: str) -> roadmap.RoadGraph:
     if map_source == "default":
-        graph = roadmap.generate_default_map()
-    else:
-        graph = roadmap.read_map(map_source)
+        return roadmap.generate_default_map()
+    return roadmap.read_map(map_source)
+
+
+def _model_matrices(graph: roadmap.RoadGraph, sigma: float):
     # Observation first, with the confusion base as a temporary: the base is
     # freed before A is allocated, so at most two M x M arrays are alive.
     observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
-    transition = roadmap.build_transition_matrix(graph)
-    return graph, transition, observation
+    return roadmap.build_transition_matrix(graph), observation
+
+
+def build_model(map_source: str, sigma: float):
+    """Load (or generate) the map and derive its transition and observation matrices."""
+    graph = _read_graph(map_source)
+    return (graph, *_model_matrices(graph, sigma))
 
 
 def batch_width(steps: int, num_states: int) -> int:
@@ -215,14 +226,18 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     Each trial gets its own seed via ``trial_seed``, so the rows are a
     function of the config alone. With ``smoother=False`` the backward pass
     and the smoothing product are skipped and ``smoother_estimates`` is None.
-    The model is built and the config checked at the first ``next``.
+    At the first ``next`` the map is read, sigma, the initial state, steps
+    and trials are checked in that order, and only then are the M x M
+    matrices built.
     """
-    graph, transition, observation = build_model(config.map_source, config.sigma)
+    graph = _read_graph(config.map_source)
+    sensor.gaussian_kernel(0, 0, config.sigma)  # raises on a bad sigma
     prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
     if config.steps < 1:
         raise ValueError("steps must be >= 1")
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
+    transition, observation = _model_matrices(graph, config.sigma)
     cdfs = (column_cdfs(transition), column_cdfs(observation))
     width = batch_width(config.steps, graph.num_nodes)
     for start in range(0, config.trials, width):

@@ -14,6 +14,9 @@ A step of the whole batch is one product A @ B over (M, N) columns followed
 by N column normalizers; one sequence runs as the batch of one, a
 matrix-vector product. For N > 1 the matrix-matrix product may round
 differently in the last bit, so batched beliefs can differ by an ulp.
+
+The smoother writes its product into the backward messages' storage, so a
+smoothing run holds two belief arrays, the forward and the smoothed ones.
 """
 
 from __future__ import annotations
@@ -174,14 +177,16 @@ def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
     """Smoother beliefs: elementwise product of the two passes, renormalized.
 
     The per-step scale factors cancel in the normalization, so the scaled
-    vectors can be multiplied directly.
+    vectors can be multiplied directly. The result is written into, and
+    returned as, ``backward.vectors``: a smoothing run holds two belief
+    arrays, not three. Pass a copy of the backward messages to keep them.
     """
     if forward.vectors.shape != backward.vectors.shape:
         raise ValueError(
             f"forward/backward shape mismatch: {forward.vectors.shape} "
             f"vs {backward.vectors.shape}"
         )
-    product = forward.vectors * backward.vectors
+    product = np.multiply(forward.vectors, backward.vectors, out=backward.vectors)
     sums = product.sum(axis=-1, keepdims=True)
     bad = _first_bad(sums)
     if bad is not None:
@@ -194,10 +199,9 @@ def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
 def run_smoother(A, obs, measurements, initial) -> InferenceResult:
     """Run both passes and combine into filter and smoother beliefs."""
     fwd = forward_pass(A, obs, measurements, initial)
-    bwd = backward_pass(A, obs, measurements)
     return InferenceResult(
         filtered=fwd.vectors,
-        smoothed=smooth(fwd, bwd),
+        smoothed=smooth(fwd, backward_pass(A, obs, measurements)),
         log_likelihood=fwd.log_scale_factors.sum(axis=0),
     )
 

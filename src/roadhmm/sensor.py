@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .roadmap import RoadGraph
 
@@ -44,14 +43,22 @@ def build_confusion_base(graph: RoadGraph) -> np.ndarray:
     directly connected get zero. A node with no neighbors observes itself
     with probability 1.
     """
-    pairs = [(e.src - 1, e.dst - 1) for e in graph.edges if e.src != e.dst]
-    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    base = np.zeros((graph.num_nodes, graph.num_nodes))
-    base[dst, src] = base[src, dst] = 1.0
-    neighbors = base.sum(axis=0)
-    base *= (1.0 - _DIAGONAL) / np.maximum(neighbors, 1)
+    m = graph.num_nodes
+    pairs = {(e.src - 1, e.dst - 1) for e in graph.edges if e.src != e.dst}
+    # (row, column) of every neighbor entry, each once
+    entries = pairs | {(j, i) for i, j in pairs}
+    rows, columns = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
+    neighbors = np.bincount(columns, minlength=m)
+    base = np.zeros((m, m))
+    base[rows, columns] = ((1.0 - _DIAGONAL) / np.maximum(neighbors, 1))[columns]
     np.fill_diagonal(base, np.where(neighbors > 0, _DIAGONAL, 1.0))
     return base
+
+
+def _diagonal(a: np.ndarray, d: int) -> np.ndarray:
+    """Writable view of diagonal d of a C-contiguous square array: a[i + d, i]."""
+    m = a.shape[0]
+    return a.reshape(-1)[d * m if d >= 0 else -d::m + 1][:m - abs(d)]
 
 
 def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
@@ -61,12 +68,23 @@ def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
     g[j, i] = kernel[|j - i|], where kernel[d] = gaussian_kernel(d, 0, sigma)
     is computed once for d = 0..M-1; columns still sum to 1. An entry is 0
     where base is 0 and the kernel has underflowed to 0.
+
+    Only the band |j - i| < K is touched, K being the kernel's nonzero extent
+    (39 at sigma = 1). Each column's kernel sum adds its rows in increasing
+    order, as a dense sum over axis 0 does; the exact zeros it skips change
+    nothing, so every byte equals the dense build's.
     """
-    m = np.shape(base)[0]
+    base = np.ascontiguousarray(base, dtype=float)
+    m = base.shape[0]
     kernel = gaussian_kernel(np.arange(m), 0, sigma)
-    # g[j, i] = kernel[|j - i|]: rows of the symmetric sequence kernel[M-1..1, 0..M-1]
-    g = sliding_window_view(np.concatenate((kernel[:0:-1], kernel)), m)[::-1].copy()
-    total = 1.0 + g.sum(axis=0)
-    g += base
-    g /= total
-    return g
+    k = int(np.flatnonzero(kernel)[-1]) + 1 if m else 0  # the kernel is 0 from distance k on
+    offsets = range(1 - k, k)  # d = j - i, increasing
+    total = np.zeros(m)
+    for d in offsets:
+        total[max(-d, 0):m - max(d, 0)] += kernel[abs(d)]
+    total += 1.0
+    out = base / total
+    for d in offsets:
+        columns = slice(max(-d, 0), m - max(d, 0))
+        _diagonal(out, d)[...] = (_diagonal(base, d) + kernel[abs(d)]) / total[columns]
+    return out

@@ -529,6 +529,35 @@ def test_simulate_trials_holds_at_most_two_model_matrices(tmp_path):
     assert peak <= 2.75 * num_nodes**2 * 8
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--trials"])
+def test_simulate_rejects_zero_steps_or_trials_before_building_the_model(tmp_path, capsys, flag):
+    num_nodes = 700
+    path = tmp_path / "map.json"
+    path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=num_nodes, seed=5)))
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--map", str(path), "--init", "5", flag, "0", "--out", str(out)]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(args)))
+    assert codes == [1] and not out.exists()
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1\n"
+    assert peak < num_nodes**2 * 8
+
+
+def test_infer_both_holds_two_belief_arrays(tmp_path, default_transition, default_observation):
+    steps = 3000
+    _, measured = experiment.sample_trajectory(default_transition, default_observation, 5, steps, 1)
+    path = tmp_path / "measurements.txt"
+    path.write_text("".join(f"{y}\n" for y in measured))
+    args = ["infer", "--measurements", str(path), "--init-state", "5", "--method", "both",
+            "--out", str(tmp_path / "beliefs.csv")]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(args)))
+    # two (T, M) arrays: the filter beliefs and the smoothed ones, which reuse the
+    # backward messages' storage
+    assert codes == [0]
+    assert peak < 2.5 * steps * 105 * 8
+
+
 def assert_peak_flat_in_trials(run):
     """Peak at 2000 trials within 256 KiB of the peak at two full batches (W = 124 at T = 10)."""
     small = 2 * experiment.batch_width(10, 105)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,28 @@ def test_smooth_names_trial_of_inconsistent_batch_messages():
             inference.ScaledMessages(forward, np.zeros((2, 3))),
             inference.ScaledMessages(backward, np.zeros((2, 3))),
         )
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_smooth_writes_into_the_backward_messages(random_instance, batch):
+    rng = np.random.default_rng(31)
+    transition, observation, initial, measurements = random_instance(rng, 60, 3000)
+    if batch:
+        measurements = np.stack([measurements] * batch, axis=1)
+    forward = inference.forward_pass(transition, observation, measurements, initial)
+    backward = inference.backward_pass(transition, observation, measurements)
+    expected = forward.vectors * backward.vectors
+    expected /= expected.sum(axis=-1, keepdims=True)
+    tracemalloc.start()
+    try:
+        smoothed = inference.smooth(forward, backward)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only the per-step sums, 1/M of a belief array, are allocated
+    assert peak < 0.1 * backward.vectors.nbytes
+    assert smoothed is backward.vectors
+    assert smoothed.tobytes() == expected.tobytes()
 
 
 def test_constancy_of_evidence(two_state, random_instance):
