@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import experiment, inference, matrixio, roadmap
+from . import experiment, inference, matrixio, roadmap, sensor
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -133,7 +133,9 @@ def _cmd_replicate_table1(args) -> int:
 
 
 def _cmd_export_matrices(args) -> int:
-    _, transition, observation = experiment.build_model(args.map, args.sigma)
+    graph = experiment.read_graph(args.map)
+    sensor.gaussian_kernel(0, 0, args.sigma)  # raises on a bad sigma
+    transition, observation = experiment.build_model(graph, args.sigma)
     write = matrixio.write_matrix_csv if args.format == "csv" else matrixio.write_matrix_pgm
     for name, matrix in (("transition", transition), ("observation", observation)):
         path = f"{args.out_prefix}_{name}.{args.format}"
@@ -162,7 +164,8 @@ def _parse_measurements(text: str, num_nodes: int) -> list[int]:
 
 
 def _cmd_infer(args) -> int:
-    graph, transition, observation = experiment.build_model(args.map, args.sigma)
+    graph = experiment.read_graph(args.map)
+    sensor.gaussian_kernel(0, 0, args.sigma)  # raises on a bad sigma
     with open(args.measurements, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
@@ -172,6 +175,7 @@ def _cmd_infer(args) -> int:
     if not measurements:
         raise ValueError(f"no measurements in {args.measurements}")
     prior = inference.point_mass_belief(graph.num_nodes, args.init_state)
+    transition, observation = experiment.build_model(graph, args.sigma)
     forward = inference.forward_pass(transition, observation, measurements, prior)
     beliefs = {}
     if args.method != "smoother":

@@ -157,9 +157,7 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
     that samples many batches; the draws equal those from the dense
     ``np.cumsum(matrix, axis=0)`` columns.
     """
-    m = np.shape(A)[0]
-    if not 1 <= initial_state <= m:
-        raise ValueError(f"initial state {initial_state} out of range 1..{m}")
+    inference.point_mass_belief(np.shape(A)[0], initial_state)  # raises on a bad initial state
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if cdfs is None:
@@ -193,23 +191,19 @@ def accuracy(true_states, estimates):
     return np.mean(truth == estimate, axis=-1)
 
 
-def _read_graph(map_source: str) -> roadmap.RoadGraph:
+def read_graph(map_source: str) -> roadmap.RoadGraph:
+    """The map of ``map_source``: the generated default map for "default", else a map file."""
     if map_source == "default":
         return roadmap.generate_default_map()
     return roadmap.read_map(map_source)
 
 
-def _model_matrices(graph: roadmap.RoadGraph, sigma: float):
+def build_model(graph: roadmap.RoadGraph, sigma: float):
+    """The graph's M x M (transition, observation) matrices; check every input before calling."""
     # Observation first, with the confusion base as a temporary: the base is
     # freed before A is allocated, so at most two M x M arrays are alive.
     observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
     return roadmap.build_transition_matrix(graph), observation
-
-
-def build_model(map_source: str, sigma: float):
-    """Load (or generate) the map and derive its transition and observation matrices."""
-    graph = _read_graph(map_source)
-    return (graph, *_model_matrices(graph, sigma))
 
 
 def batch_width(steps: int, num_states: int) -> int:
@@ -227,17 +221,17 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     function of the config alone. With ``smoother=False`` the backward pass
     and the smoothing product are skipped and ``smoother_estimates`` is None.
     At the first ``next`` the map is read, sigma, the initial state, steps
-    and trials are checked in that order, and only then are the M x M
-    matrices built.
+    and trials are checked in that order, and only then does one
+    ``build_model`` call build the M x M matrices.
     """
-    graph = _read_graph(config.map_source)
+    graph = read_graph(config.map_source)
     sensor.gaussian_kernel(0, 0, config.sigma)  # raises on a bad sigma
     prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
     if config.steps < 1:
         raise ValueError("steps must be >= 1")
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
-    transition, observation = _model_matrices(graph, config.sigma)
+    transition, observation = build_model(graph, config.sigma)
     cdfs = (column_cdfs(transition), column_cdfs(observation))
     width = batch_width(config.steps, graph.num_nodes)
     for start in range(0, config.trials, width):

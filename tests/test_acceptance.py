@@ -123,9 +123,8 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
 
     rows, _ = table1_rows
     for row in rows:
-        graph, transition, observation = experiment.build_model(
-            row.config.map_source, row.config.sigma
-        )
+        graph = experiment.read_graph(row.config.map_source)
+        transition, observation = experiment.build_model(graph, row.config.sigma)
         prior = inference.point_mass_belief(graph.num_nodes, row.config.initial_state)
         for trial in range(row.config.trials):
             seed = experiment.trial_seed(row.config.master_seed, trial)

@@ -417,7 +417,7 @@ def test_export_csv_round_trips_exactly(tmp_path, small_map_path):
 def test_export_csv_text_is_repr_of_each_entry(tmp_path):
     prefix = tmp_path / "default"
     assert main(["export-matrices", "--sigma", "2", "--out-prefix", str(prefix)]) == 0
-    _, transition, observation = experiment.build_model("default", 2.0)
+    transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
     for name, matrix in (("transition", transition), ("observation", observation)):
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
         assert (tmp_path / f"default_{name}.csv").read_bytes() == expected.encode()
@@ -495,7 +495,7 @@ def test_infer_trace_matches_oracle(tmp_path, small_map_path):
             str(out),
         ]
     )
-    _, transition, observation = experiment.build_model(small_map_path, 1.0)
+    transition, observation = experiment.build_model(experiment.read_graph(small_map_path), 1.0)
     filtered, smoothed, _ = oracle.enumerate_posteriors(
         transition, observation, inference.point_mass_belief(4, 1), sequence
     )

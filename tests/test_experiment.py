@@ -58,7 +58,7 @@ def test_inverse_cdf_skips_zero_probability_state_beyond_rounded_down_total():
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 def test_largest_uniform_draws_positive_probability_state_on_default_map(sigma):
-    _, transition, observation = experiment.build_model("default", sigma)
+    transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
     largest = 1.0 - 2.0**-53  # the largest value Generator.random() returns
     for matrix in (transition, observation):
         ids = experiment.inverse_cdf_sample(
@@ -128,7 +128,7 @@ def assert_column_cdfs_match_dense(matrix):
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 def test_column_cdfs_match_dense_cumsum_on_default_model(sigma):
-    _, transition, observation = experiment.build_model("default", sigma)
+    transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
     assert_column_cdfs_match_dense(transition)
     assert_column_cdfs_match_dense(observation)
 
@@ -250,7 +250,7 @@ def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
     if model == "generated700-sigma1":
         transition, observation = generated_model(1.0)
     else:
-        _, transition, observation = experiment.build_model("default", 2.0)
+        transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
     seeds = [experiment.trial_seed(8, t) for t in range(6)]
     states, measurements = experiment.sample_trajectory(transition, observation, 5, 60, seeds)
     for i, seed in enumerate(seeds):
@@ -359,7 +359,8 @@ def test_perfect_sensor_filter_is_always_right(default_transition):
 
 def per_trial_reference(config):
     """sample_trajectory + run_smoother + map_estimate, one trial at a time."""
-    _, transition, observation = experiment.build_model(config.map_source, config.sigma)
+    graph = experiment.read_graph(config.map_source)
+    transition, observation = experiment.build_model(graph, config.sigma)
     prior = inference.point_mass_belief(transition.shape[0], config.initial_state)
     rows = []
     for trial in range(config.trials):
@@ -529,18 +530,94 @@ def test_simulate_trials_holds_at_most_two_model_matrices(tmp_path):
     assert peak <= 2.75 * num_nodes**2 * 8
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--trials"])
-def test_simulate_rejects_zero_steps_or_trials_before_building_the_model(tmp_path, capsys, flag):
-    num_nodes = 700
-    path = tmp_path / "map.json"
-    path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=num_nodes, seed=5)))
-    out = tmp_path / "sim.csv"
-    args = ["simulate", "--map", str(path), "--init", "5", flag, "0", "--out", str(out)]
+NAN_SIGMA = "error: sigma must be positive and finite, and so must 2*sigma^2, got nan\n"
+
+
+@pytest.fixture(scope="module")
+def map700(tmp_path_factory):
+    """A generated 700-node map file: one M x M float array is 3.9 MB."""
+    path = tmp_path_factory.mktemp("map700") / "map.json"
+    path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=700, seed=5)))
+    return str(path)
+
+
+def rejected_below_one_matrix(args, map_path, capsys):
+    """Run ``args`` on ``map_path``: (exit code, stderr, tracemalloc peak as a share of M x M)."""
     codes = []
-    peak = traced_peak(lambda: codes.append(cli.main(args)))
-    assert codes == [1] and not out.exists()
-    assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1\n"
-    assert peak < num_nodes**2 * 8
+    peak = traced_peak(lambda: codes.append(cli.main([*args, "--map", map_path])))
+    return codes[0], capsys.readouterr().err, peak / (700**2 * 8)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--steps", "0", "error: steps must be >= 1\n", id="--steps"),
+        pytest.param("--trials", "0", "error: trials must be >= 1\n", id="--trials"),
+        pytest.param("--init", "0", "error: initial state 0 out of range 1..700\n", id="--init"),
+        pytest.param("--sigma", "nan", NAN_SIGMA, id="--sigma"),
+    ],
+)
+def test_simulate_rejects_zero_steps_or_trials_before_building_the_model(
+    tmp_path, capsys, map700, flag, value, message
+):
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--init", "5", flag, value, "--out", str(out)]
+    code, err, peak = rejected_below_one_matrix(args, map700, capsys)
+    assert (code, err) == (1, message) and not out.exists()
+    assert peak < 1.0
+
+
+@pytest.mark.parametrize(
+    "args, measured, code, message",
+    [
+        (["infer", "--init-state", "0"], "5\n6\n", 1, "error: initial state 0 out of range 1..700\n"),
+        (["infer"], None, 2, "I/O error: [Errno 2] No such file or directory: 'meas.txt'\n"),
+        (["infer"], "5\n701\n", 1, "error: line 2: measurement 701 out of range 1..700\n"),
+        (["infer", "--sigma", "nan"], "5\n6\n", 1, NAN_SIGMA),
+        (["export-matrices", "--sigma", "nan", "--out-prefix", "m"], None, 1, NAN_SIGMA),
+    ],
+    ids=["infer-init-state", "infer-missing-file", "infer-out-of-range", "infer-sigma", "export-sigma"],
+)
+def test_infer_and_export_reject_bad_input_before_building_the_model(
+    tmp_path, capsys, monkeypatch, map700, args, measured, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    if measured is not None:
+        (tmp_path / "meas.txt").write_text(measured)
+    if args[0] == "infer":
+        args = ["infer", "--measurements", "meas.txt", "--init-state", "5", "--out", "beliefs.csv",
+                *args[1:]]
+    exit_code, err, peak = rejected_below_one_matrix(args, map700, capsys)
+    assert (exit_code, err) == (code, message) and peak < 1.0
+    assert [path.name for path in tmp_path.iterdir()] == ([] if measured is None else ["meas.txt"])
+
+
+@pytest.mark.parametrize(
+    "args, builds",
+    [
+        (["simulate", "--init", "5", "--steps", "5", "--trials", "30", "--out", "sim.csv"], 1),
+        (["replicate-table1", "--trials", "1"], 3),
+        (["infer", "--measurements", "meas.txt", "--init-state", "5", "--out", "beliefs.csv"], 1),
+        (["export-matrices", "--out-prefix", "m"], 1),
+    ],
+    ids=["simulate", "replicate-table1", "infer", "export-matrices"],
+)
+def test_every_command_builds_each_model_once_through_build_model(
+    tmp_path, capsys, monkeypatch, args, builds
+):
+    built = []
+    build_model = experiment.build_model
+
+    def counting(graph, sigma):
+        built.append(sigma)
+        return build_model(graph, sigma)
+
+    monkeypatch.setattr(experiment, "build_model", counting)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "meas.txt").write_text("5\n6\n")
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert len(built) == builds
 
 
 def test_infer_both_holds_two_belief_arrays(tmp_path, default_transition, default_observation):
@@ -607,11 +684,12 @@ def test_replicate_table1_deterministic():
 
 
 def test_build_model_default_and_file(tmp_path, default_graph):
-    graph, transition, observation = experiment.build_model("default", 1.0)
+    graph = experiment.read_graph("default")
+    transition, observation = experiment.build_model(graph, 1.0)
     assert graph == default_graph
     assert_allclose(transition.sum(axis=0), 1.0, atol=1e-12)
     assert_allclose(observation.sum(axis=0), 1.0, atol=1e-12)
     path = tmp_path / "map.json"
     path.write_text(roadmap.save_map(default_graph))
-    file_graph, _, _ = experiment.build_model(str(path), 1.0)
+    file_graph = experiment.read_graph(str(path))
     assert file_graph == default_graph
