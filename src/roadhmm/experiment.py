@@ -200,8 +200,6 @@ def read_graph(map_source: str) -> roadmap.RoadGraph:
 
 def build_model(graph: roadmap.RoadGraph, sigma: float):
     """The graph's M x M (transition, observation) matrices; check every input before calling."""
-    # Observation first, with the confusion base as a temporary: the base is
-    # freed before A is allocated, so at most two M x M arrays are alive.
     observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
     return roadmap.build_transition_matrix(graph), observation
 

@@ -180,13 +180,20 @@ def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
     vectors can be multiplied directly. The result is written into, and
     returned as, ``backward.vectors``: a smoothing run holds two belief
     arrays, not three. Pass a copy of the backward messages to keep them.
+
+    Where the forward mass sits only where the backward message is tiny, the
+    product of the two can underflow although the sequence is possible. At
+    the steps whose product sums below the smallest normal float, the
+    product is taken in log space and rescaled to a peak of 1 instead.
     """
-    if forward.vectors.shape != backward.vectors.shape:
-        raise ValueError(
-            f"forward/backward shape mismatch: {forward.vectors.shape} "
-            f"vs {backward.vectors.shape}"
-        )
-    product = np.multiply(forward.vectors, backward.vectors, out=backward.vectors)
+    fwd, bwd = forward.vectors, backward.vectors
+    if fwd.shape != bwd.shape:
+        raise ValueError(f"forward/backward shape mismatch: {fwd.shape} vs {bwd.shape}")
+    underflows = np.einsum("...i,...i->...", fwd, bwd) < np.finfo(float).tiny
+    with np.errstate(divide="ignore", invalid="ignore"):  # disjoint supports give NaN, checked below
+        logs = np.log(fwd[underflows]) + np.log(bwd[underflows])
+        product = np.multiply(fwd, bwd, out=bwd)
+        product[underflows] = np.exp(logs - logs.max(axis=-1, keepdims=True, initial=-np.inf))
     sums = product.sum(axis=-1, keepdims=True)
     bad = _first_bad(sums)
     if bad is not None:

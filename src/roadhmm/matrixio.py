@@ -26,7 +26,7 @@ def write_matrix_pgm(matrix: np.ndarray, out: TextIO) -> None:
     """
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
-    pixels = np.rint(255.0 * matrix / matrix.max()).astype(int)
+    peak = matrix.max()
     out.write(f"P2\n{cols} {rows}\n255\n")
-    for row in pixels:
-        out.write(" ".join(str(v) for v in row) + "\n")
+    for row in matrix:  # a row at a time, so no M x M temporary is built
+        out.write(" ".join(map(str, np.rint(255.0 * row / peak).astype(int).tolist())) + "\n")

@@ -3,10 +3,10 @@
 The base matrix concentrates probability on the true position and spreads
 the rest over graph neighbors. The Gaussian over node-index distance, a 1-D
 kernel of M values, is then superimposed on every column and the column
-renormalized. Far from the diagonal the kernel underflows to exactly 0 (from
-index distance 39 at sigma = 1), so an entry whose base is also 0 stays 0: a
-measurement there is impossible under the model. Matrices are
-column-stochastic: entry [j-1, i-1] = P(measure j | at i).
+renormalized, in the base's own storage. Far from the diagonal the kernel
+underflows to exactly 0 (from index distance 39 at sigma = 1), so an entry
+whose base is also 0 stays 0: a measurement there is impossible under the
+model. Matrices are column-stochastic: entry [j-1, i-1] = P(measure j | at i).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _diagonal(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
-    """Superimpose the index Gaussian on every column and renormalize.
+    """Superimpose the index Gaussian on every column and renormalize, in place.
 
     Column i becomes (base[:, i] + g[:, i]) / (1 + sum_j g[j, i]) with
     g[j, i] = kernel[|j - i|], where kernel[d] = gaussian_kernel(d, 0, sigma)
@@ -72,19 +72,17 @@ def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
     Only the band |j - i| < K is touched, K being the kernel's nonzero extent
     (39 at sigma = 1). Each column's kernel sum adds its rows in increasing
     order, as a dense sum over axis 0 does; the exact zeros it skips change
-    nothing, so every byte equals the dense build's.
+    nothing, so every byte equals the dense build's. The result is written
+    into, and returned as, a C-contiguous float ``base``: pass a copy to keep it.
     """
     base = np.ascontiguousarray(base, dtype=float)
     m = base.shape[0]
     kernel = gaussian_kernel(np.arange(m), 0, sigma)
     k = int(np.flatnonzero(kernel)[-1]) + 1 if m else 0  # the kernel is 0 from distance k on
-    offsets = range(1 - k, k)  # d = j - i, increasing
     total = np.zeros(m)
-    for d in offsets:
+    for d in range(1 - k, k):  # d = j - i, increasing
         total[max(-d, 0):m - max(d, 0)] += kernel[abs(d)]
+        _diagonal(base, d)[...] += kernel[abs(d)]
     total += 1.0
-    out = base / total
-    for d in offsets:
-        columns = slice(max(-d, 0), m - max(d, 0))
-        _diagonal(out, d)[...] = (_diagonal(base, d) + kernel[abs(d)]) / total[columns]
-    return out
+    base /= total
+    return base

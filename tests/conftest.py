@@ -46,16 +46,23 @@ def default_graph():
     return roadmap.generate_default_map()
 
 
+def read_only(array):
+    """``array``, flagged read-only: a session fixture shared by many tests, so
+    a stray in-place call on it raises instead of changing the tests after it."""
+    array.setflags(write=False)
+    return array
+
+
 @pytest.fixture(scope="session")
 def default_transition(default_graph):
-    return roadmap.build_transition_matrix(default_graph)
+    return read_only(roadmap.build_transition_matrix(default_graph))
 
 
 @pytest.fixture(scope="session")
 def default_base(default_graph):
-    return sensor.build_confusion_base(default_graph)
+    return read_only(sensor.build_confusion_base(default_graph))
 
 
 @pytest.fixture(scope="session")
 def default_observation(default_base):
-    return sensor.apply_gaussian_noise(default_base, 1.0)
+    return read_only(sensor.apply_gaussian_noise(default_base.copy(), 1.0))

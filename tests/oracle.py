@@ -1,9 +1,10 @@
-"""Brute-force posteriors by explicit path enumeration.
+"""Correctness references for the recursive inference code.
 
-Correctness reference for the recursive inference code on small instances:
-every state path is materialized and weighted by initial probability times
-transition and observation factors, in plain (non-log) arithmetic. Slow by
-design; guarded by a path budget.
+``enumerate_posteriors`` is brute force for small instances: every state
+path is materialized and weighted by initial probability times transition
+and observation factors, in plain (non-log) arithmetic. Slow by design;
+guarded by a path budget. ``log_domain_smoother`` runs the unscaled
+recursions in log space, so no message underflows at any length.
 """
 
 from __future__ import annotations
@@ -65,3 +66,30 @@ def _sum_over_paths(A, obs, initial, y):
         for k in range(1, steps + 1):
             marginals[k - 1] += np.bincount(path[:, k], weights=weight, minlength=m)
     return evidence, marginals
+
+
+def _log_sum_exp(values, axis):
+    """log(sum(exp(values))) along ``axis``; -inf where every value is -inf."""
+    peak = np.max(values, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(values - peak).sum(axis=axis)) + np.squeeze(peak, axis)
+
+
+def log_domain_smoother(A, obs, initial, measurements) -> np.ndarray:
+    """Smoothed marginals (T, M) of one sequence from log alpha + log beta.
+
+    log alpha_k(i) = log obs[y_k, i] + logsumexp_j(log A[i, j] + log alpha_{k-1}(j)),
+    log beta_k(j) = logsumexp_i(log A[i, j] + log obs[y_{k+1}, i] + log beta_{k+1}(i)).
+    """
+    with np.errstate(divide="ignore"):
+        log_a, log_obs, previous = np.log(A), np.log(obs), np.log(initial)
+    y = np.asarray(measurements, dtype=int) - 1
+    log_alpha = np.empty((len(y), len(previous)))
+    for k, row in enumerate(y):
+        previous = log_alpha[k] = log_obs[row] + _log_sum_exp(log_a + previous, axis=1)
+    log_beta = np.zeros_like(log_alpha)
+    for k in range(len(y) - 2, -1, -1):
+        log_beta[k] = _log_sum_exp(log_a + (log_obs[y[k + 1]] + log_beta[k + 1])[:, None], axis=0)
+    joint = log_alpha + log_beta
+    return np.exp(joint - _log_sum_exp(joint, axis=1)[:, None])

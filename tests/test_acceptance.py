@@ -145,7 +145,7 @@ def test_criterion_5_stochasticity_and_stability():
     assert np.abs(transition.sum(axis=0) - 1.0).max() <= 1e-12
     assert np.abs(base.sum(axis=0) - 1.0).max() <= 1e-12
     for sigma in (1.0, 2.0):
-        observation = sensor.apply_gaussian_noise(base, sigma)
+        observation = sensor.apply_gaussian_noise(base.copy(), sigma)
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
     observation = sensor.apply_gaussian_noise(base, 1.0)

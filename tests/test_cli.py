@@ -1,5 +1,7 @@
+import io
 import json
 import pkgutil
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -438,6 +440,44 @@ def test_export_pgm_format(tmp_path):
         assert pixels.max() == 255
 
 
+def reference_pgm(matrix):
+    """The whole-matrix pixel build that write_matrix_pgm replaced, kept as its reference."""
+    rows, cols = matrix.shape
+    pixels = np.rint(255.0 * matrix / matrix.max()).astype(int)
+    lines = (" ".join(str(v) for v in row) + "\n" for row in pixels)
+    return f"P2\n{cols} {rows}\n255\n" + "".join(lines)
+
+
+class Discard:
+    """A text sink that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "generated, sigma",
+    [({}, 1.0), ({}, 2.0), ({"num_nodes": 700, "seed": 5}, 1.0)],
+    ids=["default-sigma1", "default-sigma2", "700-sigma1"],
+)
+def test_pgm_text_equals_whole_matrix_reference(generated, sigma):
+    for matrix in experiment.build_model(roadmap.generate_default_map(**generated), sigma):
+        out = io.StringIO()
+        matrixio.write_matrix_pgm(matrix, out)
+        assert out.getvalue() == reference_pgm(matrix)
+
+
+def test_pgm_writes_row_by_row_without_a_matrix_temporary():
+    transition, _ = experiment.build_model(roadmap.generate_default_map(num_nodes=700, seed=5), 1.0)
+    tracemalloc.start()
+    try:
+        matrixio.write_matrix_pgm(transition, Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * transition.nbytes
+
+
 def test_export_observation_diagonal_band(tmp_path):
     prefix = str(tmp_path / "obs")
     assert main(["export-matrices", "--sigma", "1", "--out-prefix", prefix]) == 0
@@ -624,6 +664,32 @@ def test_infer_rejects_file_without_measurements(tmp_path, small_map_path, capsy
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: no measurements in {measurements}\n"
     assert not out.exists()
+
+
+# Measurements of 50 steps on the default map from node 5 at sigma 1, drawn by
+# sample_trajectory with the observation columns rolled by one node and seed
+# trial_seed(0, 734). The forward mass at step 4 overlaps the backward message
+# only at node 47, and there the product of the two underflows.
+UNDERFLOW_DRIVE = (
+    "6 53 5 53 104 6 9 9 36 31 62 1 98 88 2 72 27 57 102 25 71 43 104 43 104 104 42 24 43 "
+    "104 43 43 104 22 74 36 34 87 87 88 87 30 87 24 12 25 102 56 96 7"
+)
+
+
+@pytest.mark.parametrize("method", ["smoother", "both"])
+def test_infer_smooths_a_drive_whose_message_product_underflows(tmp_path, method):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text(UNDERFLOW_DRIVE.replace(" ", "\n") + "\n")
+    out = tmp_path / "beliefs.csv"
+    args = ["infer", "--measurements", str(measurements), "--init-state", "5", "--method", method,
+            "--out", str(out)]
+    assert main(args) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == (100 if method == "both" else 50)
+    beliefs = np.array([row[4:] for row in rows], dtype=float)
+    assert np.abs(beliefs.sum(axis=1) - 1.0).max() <= 1e-12
+    smoothed = [row for row in rows if row[0] == "smoother"]
+    assert smoothed[3][:4] == ["smoother", "4", "53", "47"]
 
 
 def infer_args(map_path, measurements, *extra):

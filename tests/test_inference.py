@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import inference
+import oracle
+from roadhmm import experiment, inference
 from roadhmm.inference import InferenceError
 
 # Exact posteriors for the worked 2-state instance, derived by enumerating
@@ -249,6 +250,56 @@ def test_smooth_names_trial_of_inconsistent_batch_messages():
         )
 
 
+# Drives of 50 steps on the default map at sigma 1 from node 5, sampled with the
+# observation columns rolled by one node (a sensor that reads one node high) and
+# seeded with trial_seed(0, trial). Of the first 4000 such drives, these eight have
+# a step where the product of the forward and backward messages sums below the
+# smallest normal float. In the last four the backward message itself has
+# underflowed to 0 on the whole forward support, which the log-space product
+# cannot recover.
+UNDERFLOWING_DRIVES = [734, 1825, 2442, 3196]
+LOST_BACKWARD_DRIVES = [1130, 2941, 3496, 3993]
+
+
+@pytest.mark.parametrize(
+    "trial",
+    [
+        *range(20),
+        *UNDERFLOWING_DRIVES,
+        *(
+            pytest.param(trial, marks=pytest.mark.xfail(
+                raises=InferenceError, strict=True,
+                reason="the backward message is 0 on the forward support",
+            ))
+            for trial in LOST_BACKWARD_DRIVES
+        ),
+    ],
+)
+def test_smoother_agrees_with_log_domain_reference_on_misread_drives(
+    default_transition, default_observation, trial
+):
+    misread = np.roll(default_observation, 1, axis=1)
+    seed = experiment.trial_seed(0, trial)
+    _, measured = experiment.sample_trajectory(default_transition, misread, 5, 50, seed)
+    prior = inference.point_mass_belief(105, 5)
+    forward = inference.forward_pass(default_transition, default_observation, measured, prior)
+    backward = inference.backward_pass(default_transition, default_observation, measured)
+    tiny = np.finfo(float).tiny
+    underflows = np.einsum("ij,ij->i", forward.vectors, backward.vectors) < tiny
+    assert underflows.any() == (trial >= 20)
+    factors = np.stack([forward.vectors, backward.vectors])
+    shared = (factors > 0).all(axis=0)
+    subnormal = (shared & (factors < tiny).any(axis=0)).any(axis=1)
+    smoothed = inference.smooth(forward, backward)
+    expected = oracle.log_domain_smoother(default_transition, default_observation, prior, measured)
+    error = np.abs(smoothed - expected).max(axis=1)
+    # A subnormal factor, or a backward message it descends from, keeps fewer
+    # than 53 bits (as few as 16 on these drives); at those steps the beliefs
+    # agree to 1e-9 (worst 3.1e-10, drive 1825 step 1), elsewhere to 1e-12.
+    assert error[~subnormal].max(initial=0.0) <= 1e-12
+    assert error.max() <= 1e-9
+
+
 @pytest.mark.parametrize("batch", [None, 4])
 def test_smooth_writes_into_the_backward_messages(random_instance, batch):
     rng = np.random.default_rng(31)
@@ -333,8 +384,6 @@ def vector_backward(transition, observation, measurements):
 
 
 def test_single_sequence_is_bit_identical_to_vector_recursion(default_transition, default_observation):
-    from roadhmm import experiment
-
     _, measurements = experiment.sample_trajectory(
         default_transition, default_observation, 5, 2000, seed=4
     )

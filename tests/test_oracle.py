@@ -176,3 +176,23 @@ def test_impossible_prefix_raises_in_oracle_and_forward_pass_at_one_step():
 def test_oracle_rejects_impossible_measurement_without_dividing():
     with pytest.raises(ValueError, match="^step 1: measurement impossible under model$"):
         oracle.enumerate_posteriors(np.eye(2), np.eye(2), np.array([1.0, 0.0]), [2])
+
+
+def test_log_domain_smoother_agrees_with_enumeration_on_sparse_models():
+    rng = np.random.default_rng(61)
+    checked = 0
+    for _ in range(200):
+        m, steps = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        transition, observation = sparse_stochastic(rng, (m, m)), sparse_stochastic(rng, (m, m))
+        initial = sparse_stochastic(rng, (m, 1))[:, 0]
+        measurements = rng.integers(1, m + 1, size=steps)
+        try:
+            _, smoothed, _ = oracle.enumerate_posteriors(transition, observation, initial, measurements)
+        except ValueError:
+            continue
+        checked += 1
+        assert_allclose(
+            oracle.log_domain_smoother(transition, observation, initial, measurements),
+            smoothed, rtol=0, atol=1e-12,
+        )
+    assert checked > 50

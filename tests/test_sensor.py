@@ -75,7 +75,7 @@ def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_base):
     for k in range(-320, 309):
         sigma = float(f"1e{k}")
         try:
-            out = sensor.apply_gaussian_noise(default_base, sigma)
+            out = sensor.apply_gaussian_noise(default_base.copy(), sigma)
         except ValueError as exc:
             assert str(exc).startswith("sigma must be positive and finite")
             assert str(exc).endswith(f"got {sigma}")
@@ -210,7 +210,7 @@ def test_noise_columns_stochastic_for_random_bases():
         base = rng.random((m, m))
         base /= base.sum(axis=0)
         for sigma in (0.5, 1.0, 2.0):
-            out = sensor.apply_gaussian_noise(base, sigma)
+            out = sensor.apply_gaussian_noise(base.copy(), sigma)
             assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.all(out > 0.0)
 
@@ -218,7 +218,7 @@ def test_noise_columns_stochastic_for_random_bases():
 def test_noise_strictly_positive_within_float_range(default_base):
     # exp(-d^2/2) underflows float64 beyond index distance ~38, so strict
     # positivity can only be observed where the tail is representable
-    out = sensor.apply_gaussian_noise(default_base, 1.0)
+    out = sensor.apply_gaussian_noise(default_base.copy(), 1.0)
     assert out.min() >= 0.0
     m = out.shape[0]
     ids = np.arange(m)
@@ -230,7 +230,7 @@ def test_noise_strictly_positive_within_float_range(default_base):
 def test_noise_zeros_are_base_zeros_where_kernel_underflows(
     default_base, sigma, zeros, first_zero_distance
 ):
-    out = sensor.apply_gaussian_noise(default_base, sigma)
+    out = sensor.apply_gaussian_noise(default_base.copy(), sigma)
     ids = np.arange(1, out.shape[0] + 1)
     kernel = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
     distance = np.abs(ids[:, None] - ids[None, :])
@@ -242,7 +242,7 @@ def test_noise_zeros_are_base_zeros_where_kernel_underflows(
 
 
 def test_noise_smallest_positive_entry_is_subnormal(default_base):
-    out = sensor.apply_gaussian_noise(default_base, 1.0)
+    out = sensor.apply_gaussian_noise(default_base.copy(), 1.0)
     smallest = out[out > 0.0].min()
     assert smallest < np.finfo(float).tiny
     assert smallest == pytest.approx(5.5e-315, rel=0.01)
@@ -255,9 +255,9 @@ def test_noise_minimum_entries_grow_with_sigma():
     rng = np.random.default_rng(8)
     base = rng.random((30, 30))
     base /= base.sum(axis=0)
-    previous = sensor.apply_gaussian_noise(base, 1.0)
+    previous = sensor.apply_gaussian_noise(base.copy(), 1.0)
     for sigma in (2.0, 3.0):
-        current = sensor.apply_gaussian_noise(base, sigma)
+        current = sensor.apply_gaussian_noise(base.copy(), sigma)
         assert np.all(current.min(axis=0) > previous.min(axis=0))
         previous = current
 
@@ -265,7 +265,7 @@ def test_noise_minimum_entries_grow_with_sigma():
 def test_noise_tiny_sigma_sharpens_to_diagonal(default_base):
     # As sigma -> 0 the density at zero distance diverges, so each column
     # collapses onto its own state rather than back onto the base.
-    out = sensor.apply_gaussian_noise(default_base, 1e-6)
+    out = sensor.apply_gaussian_noise(default_base.copy(), 1e-6)
     assert out.diagonal().min() >= 1.0 - 1e-4
     off = out - np.diag(out.diagonal())
     assert off.max() <= 1e-4
@@ -293,7 +293,7 @@ def reference_graphs():
 def test_noise_bytes_equal_dense_reference(reference_graphs, name):
     base = sensor.build_confusion_base(reference_graphs[name])
     for sigma in (0.5, 1.0, 2.0, 37.0, 1e-6, 1e4, 1e150, 1e-160):
-        out = sensor.apply_gaussian_noise(base, sigma)
+        out = sensor.apply_gaussian_noise(base.copy(), sigma)
         expected = reference_noise(base, sigma)
         assert out.shape == expected.shape and out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes(), sigma
@@ -303,8 +303,21 @@ def test_noise_peak_memory_is_one_matrix(reference_graphs):
     base = sensor.build_confusion_base(reference_graphs["generated700"])
     tracemalloc.start()
     try:
-        sensor.apply_gaussian_noise(base, 1.0)
+        out = sensor.apply_gaussian_noise(base, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * base.nbytes
+    # the result is written into the base: only vectors of M values, the
+    # kernel and the column totals, are allocated
+    assert out is base
+    assert peak < 0.1 * base.nbytes
+
+
+def test_noise_copies_a_fortran_base_and_rejects_a_read_only_one(default_base):
+    fortran = np.asfortranarray(default_base)
+    out = sensor.apply_gaussian_noise(fortran, 1.0)
+    assert out is not fortran and np.array_equal(fortran, default_base)
+    assert out.tobytes() == sensor.apply_gaussian_noise(default_base.copy(), 1.0).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        sensor.apply_gaussian_noise(default_base, 1.0)
