@@ -78,12 +78,16 @@ def point_mass_belief(num_states: int, node: int) -> np.ndarray:
     return belief
 
 
-def _first_bad(normalizers: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first normalizer that is not positive and finite, if any."""
-    ok = (normalizers > 0.0) & np.isfinite(normalizers)
-    if ok.all():
-        return None
-    return tuple(int(i) for i in np.argwhere(~ok)[0])
+def _check(normalizers: np.ndarray, reason: str, batched: bool, step_of=lambda t: t + 1) -> None:
+    """Raise at the first normalizer that is not positive and finite, if any.
+
+    ``normalizers`` has the step axis first and the trial axis second, in the
+    order the recursion ran; ``step_of`` turns a row index into the 1-based step.
+    """
+    bad = np.argwhere(~((normalizers > 0.0) & np.isfinite(normalizers)))
+    if bad.size:
+        first = bad[0]
+        raise InferenceError(reason, step_of(int(first[0])), int(first[1]) if batched else None)
 
 
 def _observation_rows(obs: np.ndarray, measurements) -> tuple[np.ndarray, bool]:
@@ -133,12 +137,7 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
             normalizers[t] = unnormalized.sum(axis=0)
             belief = unnormalized / normalizers[t]
             vectors[t] = belief.T
-    bad = _first_bad(normalizers)
-    if bad is not None:
-        step, trial = bad
-        raise InferenceError(
-            "measurement impossible under model", step + 1, trial if batched else None
-        )
+    _check(normalizers, "measurement impossible under model", batched)
     return _messages(vectors, np.log(normalizers), batched)
 
 
@@ -163,13 +162,10 @@ def backward_pass(A, obs, measurements) -> ScaledMessages:
             raw = transposed @ (obs[rows[t + 1]] * vectors[t + 1]).T
             normalizers[t] = raw.sum(axis=0)
             vectors[t] = (raw / normalizers[t]).T
-    # the recursion runs backwards, so the first bad normalizer is the last in time
-    bad = _first_bad(normalizers[::-1])
-    if bad is not None:
-        step, trial = steps - 1 - bad[0], bad[1]
-        raise InferenceError(
-            "measurement impossible under model", step + 2, trial if batched else None
-        )
+    # the recursion runs backwards, so the first bad normalizer is the last in time:
+    # row t of the reversed normalizers folded in step steps - t + 1
+    _check(normalizers[::-1], "measurement impossible under model", batched,
+           lambda t: steps - t + 1)
     return _messages(vectors, np.log(normalizers), batched)
 
 
@@ -195,10 +191,7 @@ def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
         product = np.multiply(fwd, bwd, out=bwd)
         product[underflows] = np.exp(logs - logs.max(axis=-1, keepdims=True, initial=-np.inf))
     sums = product.sum(axis=-1, keepdims=True)
-    bad = _first_bad(sums)
-    if bad is not None:
-        trial = bad[1] if product.ndim == 3 else None
-        raise InferenceError("inconsistent forward/backward messages", bad[0] + 1, trial)
+    _check(sums, "inconsistent forward/backward messages", product.ndim == 3)
     product /= sums
     return product
 

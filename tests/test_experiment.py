@@ -657,6 +657,48 @@ def test_simulate_peak_memory_is_flat_in_trials(tmp_path, capsys):
     assert_peak_flat_in_trials(run)
 
 
+# ---- calibration ----
+
+
+def calibration_gaps(transition, observation, sampler_observation):
+    """Paired gaps (filter, smoother), in standard errors, of measured over predicted accuracy.
+
+    2000 drives of 50 steps from node 5 (seeds ``trial_seed(0, t)``) are sampled with
+    ``sampler_observation`` and decoded under ``observation``. When the two are
+    the same model, the largest belief at a step is the probability that its
+    MAP estimate is right, so the per-drive difference d between the fraction
+    of MAP hits and the mean largest belief has mean 0; the gap is
+    mean(d) / (sd(d) / sqrt(n)). Drives run 250 at a time to bound memory.
+    """
+    prior = inference.point_mass_belief(transition.shape[0], 5)
+    cdfs = (experiment.column_cdfs(transition), experiment.column_cdfs(sampler_observation))
+    differences = ([], [])
+    for start in range(0, 2000, 250):
+        seeds = [experiment.trial_seed(0, t) for t in range(start, start + 250)]
+        states, measured = experiment.sample_trajectory(
+            transition, sampler_observation, 5, 50, seeds, cdfs=cdfs
+        )
+        forward = inference.forward_pass(transition, observation, measured, prior)
+        backward = inference.backward_pass(transition, observation, measured)
+        for d, beliefs in zip(differences, (forward.vectors, inference.smooth(forward, backward))):
+            hits = inference.map_estimate(beliefs) == states
+            d.append(hits.mean(axis=0) - beliefs.max(axis=-1).mean(axis=0))
+    d = np.array([np.concatenate(parts) for parts in differences])
+    return d.mean(axis=1) / (d.std(axis=1, ddof=1) / np.sqrt(d.shape[1]))
+
+
+def test_posterior_predicts_its_own_accuracy_and_catches_a_mismatched_sampler(
+    default_transition, default_base, default_observation
+):
+    # 2000 drives on the default map at sigma 1; measured +0.51 (filter) and -0.56 (smoother)
+    gaps = calibration_gaps(default_transition, default_observation, default_observation)
+    assert np.all(np.abs(gaps) < 4), gaps
+    # drives whose measurements are sampled at sigma 1.5: measured -22.19 and -12.30
+    misread = sensor.apply_gaussian_noise(default_base.copy(), 1.5)
+    gaps = calibration_gaps(default_transition, default_observation, misread)
+    assert np.all(np.abs(gaps) > 4), gaps
+
+
 # ---- replicate_table1 ----
 
 
