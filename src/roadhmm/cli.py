@@ -107,26 +107,31 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_replicate_table1(args) -> int:
-    rows = experiment.replicate_table1(master_seed=args.seed, trials=args.trials)
     table = [f"{'scenario':<20}{'filter':>10}{'smoother':>10}   reference (filter/smoother)"]
     csv_lines = [
         "initial_state,sigma,steps,trials,filter_mean,filter_std,"
         "smoother_mean,smoother_std,reference_filter,reference_smoother"
     ]
-    for row in rows:
+    for init, sigma, reference_filter, reference_smoother in experiment.TABLE1_SCENARIOS:
+        config = experiment.ExperimentConfig(
+            init, sigma, steps=experiment.TABLE1_STEPS, trials=args.trials, master_seed=args.seed
+        )
+        label = f"init={init} sigma={sigma:g}"
+        # numpy warns on ddof=1 of one value; a single trial has no spread
+        (filter_mean, filter_std), (smoother_mean, smoother_std) = (
+            (float(np.mean(a)), float(np.std(a, ddof=1)) if len(a) > 1 else 0.0)
+            for a in experiment.run_experiment(config)
+        )
         table.append(
-            f"{row.label:<20}{row.result.filter_mean:>10.4f}"
-            f"{row.result.smoother_mean:>10.4f}   "
-            f"{row.reference_filter:.2f}/{row.reference_smoother:.2f}"
+            f"{label:<20}{filter_mean:>10.4f}{smoother_mean:>10.4f}"
+            f"   {reference_filter:.2f}/{reference_smoother:.2f}"
         )
         csv_lines.append(
-            f"{row.config.initial_state},{row.config.sigma:g},{row.config.steps},"
-            f"{row.config.trials},{row.result.filter_mean!r},{row.result.filter_std!r},"
-            f"{row.result.smoother_mean!r},{row.result.smoother_std!r},"
-            f"{row.reference_filter},{row.reference_smoother}"
+            f"{init},{sigma:g},{config.steps},{config.trials},{filter_mean!r},{filter_std!r},"
+            f"{smoother_mean!r},{smoother_std!r},{reference_filter},{reference_smoother}"
         )
     print("\n".join(table), file=sys.stderr if args.out == "-" else sys.stdout)
-    if args.out:
+    if args.out is not None:
         with _output(args.out) as out:
             out.write("\n".join(csv_lines) + "\n")
     return EXIT_OK

@@ -1,8 +1,10 @@
-"""Monte Carlo harness: trajectory sampling, accuracy, scenario comparison.
+"""Monte Carlo harness: trajectory sampling and per-trial accuracy.
 
-Trials are seeded independently from a master seed through a SplitMix64
-stream and run in batches whose width is a fixed function of the run's size,
-so a run's results are a function of its configuration alone.
+A run's one result is its per-trial filter and smoother accuracies, and
+``TABLE1_SCENARIOS`` lists the paper's three reference scenarios. Trials are
+seeded independently from a master seed through a SplitMix64 stream and run
+in batches whose width is a fixed function of the run's size, so a run's
+results are a function of its configuration alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from . import inference, roadmap, sensor
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BATCH_BYTES = 1 << 20
+
+#: Steps per drive in every Table 1 scenario
+TABLE1_STEPS = 50
 
 #: (initial state, sigma, reported filter accuracy, reported smoother accuracy)
 TABLE1_SCENARIOS = (
@@ -51,45 +56,6 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: int = 0
     map_source: str = "default"
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Per-trial accuracies; summary stats are derived."""
-
-    filter_accuracies: tuple[float, ...]
-    smoother_accuracies: tuple[float, ...]
-
-    @property
-    def filter_mean(self) -> float:
-        return float(np.mean(self.filter_accuracies))
-
-    @property
-    def smoother_mean(self) -> float:
-        return float(np.mean(self.smoother_accuracies))
-
-    @property
-    def filter_std(self) -> float:
-        return _sample_std(self.filter_accuracies)
-
-    @property
-    def smoother_std(self) -> float:
-        return _sample_std(self.smoother_accuracies)
-
-
-@dataclass(frozen=True)
-class Table1Row:
-    label: str
-    config: ExperimentConfig
-    result: ExperimentResult
-    reference_filter: float
-    reference_smoother: float
-
-
-def _sample_std(values) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
 
 
 def inverse_cdf_sample(cdf, u):
@@ -250,38 +216,7 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
         yield x.T, y.T, filtered, smoothed
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Sample, filter and smooth ``config.trials`` trajectories; report accuracies."""
-    filter_accuracies, smoother_accuracies = [], []
-    for states, _, filtered, smoothed in simulate_trials(config):
-        filter_accuracies += accuracy(states, filtered).tolist()
-        smoother_accuracies += accuracy(states, smoothed).tolist()
-    return ExperimentResult(tuple(filter_accuracies), tuple(smoother_accuracies))
-
-
-def replicate_table1(master_seed: int = 0, trials: int = 500) -> tuple[Table1Row, ...]:
-    """Run the three reference scenarios on the default map at T = 50.
-
-    All scenarios share the master seed, so per-trial uniforms act as common
-    random numbers across rows and sigma comparisons are paired.
-    """
-    rows = []
-    for initial_state, sigma, reference_filter, reference_smoother in TABLE1_SCENARIOS:
-        config = ExperimentConfig(
-            initial_state=initial_state,
-            sigma=sigma,
-            steps=50,
-            trials=trials,
-            master_seed=master_seed,
-            map_source="default",
-        )
-        rows.append(
-            Table1Row(
-                label=f"init={initial_state} sigma={sigma:g}",
-                config=config,
-                result=run_experiment(config),
-                reference_filter=reference_filter,
-                reference_smoother=reference_smoother,
-            )
-        )
-    return tuple(rows)
+def run_experiment(config: ExperimentConfig):
+    """(filter, smoother) accuracies of the sampled drives: two (trials,) arrays in trial order."""
+    batches = [(accuracy(x, f), accuracy(x, s)) for x, _, f, s in simulate_trials(config)]
+    return tuple(np.concatenate(column) for column in zip(*batches))

@@ -57,8 +57,19 @@ def oracle_instances():
 
 @pytest.fixture(scope="module")
 def table1_rows():
+    """(config, filter mean, smoother mean) of each Table 1 scenario, and the run time."""
     start = time.perf_counter()
-    rows = experiment.replicate_table1(master_seed=TABLE1_SEED, trials=TABLE1_TRIALS)
+    rows = []
+    for initial_state, sigma, *_ in experiment.TABLE1_SCENARIOS:
+        config = experiment.ExperimentConfig(
+            initial_state,
+            sigma,
+            steps=experiment.TABLE1_STEPS,
+            trials=TABLE1_TRIALS,
+            master_seed=TABLE1_SEED,
+        )
+        filter_accuracies, smoother_accuracies = experiment.run_experiment(config)
+        rows.append((config, np.mean(filter_accuracies), np.mean(smoother_accuracies)))
     return rows, time.perf_counter() - start
 
 
@@ -101,17 +112,18 @@ def test_criterion_2_worked_example(two_state):
 @criterion(3, "three-scenario accuracy orderings replicate qualitatively")
 def test_criterion_3_table1_qualitative(table1_rows):
     rows, elapsed = table1_rows
-    by_label = {row.label: row.result for row in rows}
-    sigma1 = by_label["init=5 sigma=1"]
-    sigma2 = by_label["init=5 sigma=2"]
-    init90 = by_label["init=90 sigma=1"]
+    # (filter mean, smoother mean) by (initial state, sigma)
+    by_scenario = {(c.initial_state, c.sigma): means for c, *means in rows}
+    sigma1 = by_scenario[5, 1.0]
+    sigma2 = by_scenario[5, 2.0]
+    init90 = by_scenario[90, 1.0]
 
-    for result in (sigma1, sigma2, init90):
-        assert result.smoother_mean > result.filter_mean
-    assert sigma2.filter_mean < sigma1.filter_mean
-    assert sigma2.smoother_mean < sigma1.smoother_mean
-    assert 0.50 <= sigma1.filter_mean <= 0.95
-    assert 0.50 <= init90.filter_mean <= 0.95
+    for filter_mean, smoother_mean in (sigma1, sigma2, init90):
+        assert smoother_mean > filter_mean
+    assert sigma2[0] < sigma1[0]
+    assert sigma2[1] < sigma1[1]
+    assert 0.50 <= sigma1[0] <= 0.95
+    assert 0.50 <= init90[0] <= 0.95
     assert elapsed < 60.0, f"criterion 3 took {elapsed:.1f}s"
 
 
@@ -122,14 +134,14 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
         assert np.abs(result.smoothed[-1] - result.filtered[-1]).max() <= 1e-12
 
     rows, _ = table1_rows
-    for row in rows:
-        graph = experiment.read_graph(row.config.map_source)
-        transition, observation = experiment.build_model(graph, row.config.sigma)
-        prior = inference.point_mass_belief(graph.num_nodes, row.config.initial_state)
-        for trial in range(row.config.trials):
-            seed = experiment.trial_seed(row.config.master_seed, trial)
+    for config, *_ in rows:
+        graph = experiment.read_graph(config.map_source)
+        transition, observation = experiment.build_model(graph, config.sigma)
+        prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
+        for trial in range(config.trials):
+            seed = experiment.trial_seed(config.master_seed, trial)
             _, measurements = experiment.sample_trajectory(
-                transition, observation, row.config.initial_state, row.config.steps, seed
+                transition, observation, config.initial_state, config.steps, seed
             )
             result = inference.run_smoother(transition, observation, measurements, prior)
             assert np.abs(result.smoothed[-1] - result.filtered[-1]).max() <= 1e-12

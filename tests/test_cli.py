@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import pkgutil
@@ -394,11 +395,101 @@ def test_replicate_table1_csv_on_stdout_is_only_the_csv(tmp_path, capsys):
     assert captured.err == table
 
 
+# ``replicate-table1 --seed 0 --trials 20``: the table on stdout and the --out CSV
+TABLE1_SEED0_TRIALS20_TABLE = """\
+scenario                filter  smoother   reference (filter/smoother)
+init=5 sigma=1          0.8980    0.9570   0.76/0.88
+init=5 sigma=2          0.8530    0.9370   0.68/0.82
+init=90 sigma=1         0.8790    0.9480   0.76/0.82
+"""
+TABLE1_SEED0_TRIALS20_CSV = """\
+initial_state,sigma,steps,trials,filter_mean,filter_std,smoother_mean,smoother_std,reference_filter,reference_smoother
+5,1,50,20,0.898,0.0569025020262036,0.9570000000000001,0.032622239750142674,0.76,0.88
+5,2,50,20,0.8530000000000001,0.07175249858110573,0.937,0.049107829796972514,0.68,0.82
+90,1,50,20,0.8790000000000001,0.04076892521465209,0.9480000000000001,0.02858044970365507,0.76,0.82
+"""
+
+
+def test_replicate_table1_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "table1.csv"
+    assert main(["replicate-table1", "--seed", "0", "--trials", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == TABLE1_SEED0_TRIALS20_TABLE
+    assert out.read_bytes() == TABLE1_SEED0_TRIALS20_CSV.encode()
+
+
 def test_replicate_table1_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["replicate-table1", "--seed", "3", "--trials", "2", "--out", str(a)])
     main(["replicate-table1", "--seed", "3", "--trials", "2", "--threads", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def table1_csv_rows(seed, trials, tmp_path):
+    """The rows of ``replicate-table1 --seed SEED --trials TRIALS --out FILE`` as dicts."""
+    out = tmp_path / "table1.csv"
+    args = ["replicate-table1", "--seed", str(seed), "--trials", str(trials), "--out", str(out)]
+    assert main(args) == 0
+    return list(csv.DictReader(io.StringIO(out.read_text())))
+
+
+def table1_accuracies(seed, trials):
+    """``run_experiment``'s (filter, smoother) accuracies for each Table 1 scenario."""
+    for init, sigma, *_ in experiment.TABLE1_SCENARIOS:
+        config = experiment.ExperimentConfig(
+            init, sigma, steps=experiment.TABLE1_STEPS, trials=trials, master_seed=seed
+        )
+        yield experiment.run_experiment(config)
+
+
+def test_replicate_table1_structure(tmp_path, capsys):
+    rows = table1_csv_rows(1, 2, tmp_path)
+    table = capsys.readouterr().out.splitlines()
+    assert [line[:20].rstrip() for line in table[1:]] == [
+        "init=5 sigma=1",
+        "init=5 sigma=2",
+        "init=90 sigma=1",
+    ]
+    assert [(r["reference_filter"], r["reference_smoother"]) for r in rows] == [
+        ("0.76", "0.88"),
+        ("0.68", "0.82"),
+        ("0.76", "0.82"),
+    ]
+    assert [(r["initial_state"], r["sigma"], r["steps"], r["trials"]) for r in rows] == [
+        ("5", "1", "50", "2"),
+        ("5", "2", "50", "2"),
+        ("90", "1", "50", "2"),
+    ]
+
+
+def test_replicate_table1_statistics_are_those_of_the_per_trial_accuracies(tmp_path, capsys):
+    rows = table1_csv_rows(3, 6, tmp_path)
+    for row, accuracies in zip(rows, table1_accuracies(3, 6), strict=True):
+        for method, values in zip(("filter", "smoother"), accuracies, strict=True):
+            assert values.shape == (6,)
+            # repr round-trips, so the printed text is the exact float
+            assert float(row[f"{method}_mean"]) == np.mean(values)
+            assert float(row[f"{method}_std"]) == np.std(values, ddof=1)
+
+
+def test_replicate_table1_single_trial_std_is_zero(tmp_path, capsys):
+    rows = table1_csv_rows(0, 1, tmp_path)
+    for row, accuracies in zip(rows, table1_accuracies(0, 1), strict=True):
+        for method, values in zip(("filter", "smoother"), accuracies, strict=True):
+            assert float(row[f"{method}_mean"]) == np.mean(values)
+            assert row[f"{method}_std"] == "0.0"
+
+
+@pytest.mark.parametrize("command", ["simulate", "replicate-table1", "infer"])
+def test_empty_out_path_is_an_io_error(tmp_path, capsys, command):
+    measurements = tmp_path / "measured.txt"
+    measurements.write_text("5\n6\n")
+    args = {
+        "simulate": ["simulate", "--init", "5", "--steps", "3"],
+        "replicate-table1": ["replicate-table1", "--trials", "1"],
+        "infer": ["infer", "--measurements", str(measurements), "--init-state", "5"],
+    }[command]
+    assert main([*args, "--out", ""]) == 2
+    assert "I/O error: [Errno 2] No such file or directory: ''" in capsys.readouterr().err
 
 
 # ---- export-matrices ----

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -301,34 +302,30 @@ def test_single_node_map_is_always_right(tmp_path):
     config = ExperimentConfig(
         initial_state=1, sigma=1.0, steps=5, trials=3, master_seed=7, map_source=str(path)
     )
-    result = experiment.run_experiment(config)
-    assert result.filter_accuracies == (1.0, 1.0, 1.0)
-    assert result.smoother_accuracies == (1.0, 1.0, 1.0)
+    filter_accuracies, smoother_accuracies = experiment.run_experiment(config)
+    assert np.array_equal(filter_accuracies, [1.0, 1.0, 1.0])
+    assert np.array_equal(smoother_accuracies, [1.0, 1.0, 1.0])
 
 
-def test_run_experiment_deterministic_and_thread_invariant():
+def test_run_experiment_deterministic():
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=20, trials=8, master_seed=42)
-    sequential = experiment.run_experiment(config)
+    first = experiment.run_experiment(config)
     again = experiment.run_experiment(config)
-    assert sequential == again
+    assert len(first) == len(again) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_run_experiment_statistics_consistent():
+    # the mean and std that replicate-table1 prints are checked in tests/test_cli.py
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=25, trials=6, master_seed=3)
     result = experiment.run_experiment(config)
-    assert result.filter_mean == pytest.approx(np.mean(result.filter_accuracies), abs=1e-12)
-    assert result.smoother_mean == pytest.approx(np.mean(result.smoother_accuracies), abs=1e-12)
-    assert result.filter_std == pytest.approx(np.std(result.filter_accuracies, ddof=1), abs=1e-12)
-    for value in result.filter_accuracies + result.smoother_accuracies:
+    assert len(result) == 2
+    for accuracies in result:
+        assert accuracies.shape == (config.trials,)
+        assert accuracies.dtype == np.float64
+    for value in np.concatenate(result):
         assert 0.0 <= value <= 1.0
         assert abs(value * config.steps - round(value * config.steps)) <= 1e-9
-
-
-def test_single_trial_std_is_zero():
-    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=10, trials=1, master_seed=0)
-    result = experiment.run_experiment(config)
-    assert result.filter_std == 0.0
-    assert result.smoother_std == 0.0
 
 
 def test_run_experiment_rejects_bad_config():
@@ -699,27 +696,49 @@ def test_posterior_predicts_its_own_accuracy_and_catches_a_mismatched_sampler(
     assert np.all(np.abs(gaps) > 4), gaps
 
 
-# ---- replicate_table1 ----
+# ---- fixed-lag smoothing ----
 
 
-def test_replicate_table1_structure():
-    rows = experiment.replicate_table1(master_seed=1, trials=2)
-    assert len(rows) == 3
-    assert [row.label for row in rows] == ["init=5 sigma=1", "init=5 sigma=2", "init=90 sigma=1"]
-    assert [(r.reference_filter, r.reference_smoother) for r in rows] == [
-        (0.76, 0.88),
-        (0.68, 0.82),
-        (0.76, 0.82),
-    ]
-    for row in rows:
-        assert row.config.steps == 50
-        assert len(row.result.filter_accuracies) == 2
+def fixed_lag_estimates(transition, observation, measured, forward, lag):
+    """MAP estimate of each step k from y_1..y_{k+lag}, shaped like ``measured``.
+
+    The forward message at k times the first message of a backward pass over
+    the window y_k..y_{k+lag} (cut at the last step) is the lag-``lag`` posterior
+    up to a constant.
+    """
+    steps = len(measured)
+    beliefs = np.empty_like(forward.vectors)
+    for k in range(steps):
+        window = measured[k:min(k + lag + 1, steps)]
+        backward = inference.backward_pass(transition, observation, window)
+        beliefs[k] = forward.vectors[k] * backward.vectors[0]
+    return inference.map_estimate(beliefs)
 
 
-def test_replicate_table1_deterministic():
-    a = experiment.replicate_table1(master_seed=9, trials=2)
-    b = experiment.replicate_table1(master_seed=9, trials=2)
-    assert a == b
+def test_fixed_lag_estimates_run_from_the_filter_to_the_smoother(
+    default_transition, default_observation
+):
+    # 1000 drives on the default map, init 5, sigma 1, T 50, seeds trial_seed(0, t),
+    # 250 at a time; lag 5 measured 99.954 % agreement with the full smoother
+    transition, observation, steps = default_transition, default_observation, 50
+    prior = inference.point_mass_belief(transition.shape[0], 5)
+    cdfs = (experiment.column_cdfs(transition), experiment.column_cdfs(observation))
+    agree = total = 0
+    for start in range(0, 1000, 250):
+        seeds = [experiment.trial_seed(0, t) for t in range(start, start + 250)]
+        _, measured = experiment.sample_trajectory(
+            transition, observation, 5, steps, seeds, cdfs=cdfs
+        )
+        forward = inference.forward_pass(transition, observation, measured, prior)
+        filtered = inference.map_estimate(forward.vectors)
+        backward = inference.backward_pass(transition, observation, measured)
+        smoothed = inference.map_estimate(inference.smooth(forward, backward))
+        lag = functools.partial(fixed_lag_estimates, transition, observation, measured, forward)
+        assert np.array_equal(lag(0), filtered)
+        assert np.array_equal(lag(steps - 1), smoothed)
+        agree += np.count_nonzero(lag(5) == smoothed)
+        total += smoothed.size
+    assert agree >= 0.99 * total, agree / total
 
 
 # ---- build_model ----
