@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 
 import numpy as np
@@ -107,6 +107,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_replicate_table1(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    # --out opens before any scenario runs, so a bad path costs no Monte Carlo run
+    with _output(args.out) if args.out is not None else nullcontext() as out:
+        table, csv_lines = _table1(args)
+        print("\n".join(table), file=sys.stderr if args.out == "-" else sys.stdout)
+        if out is not None:
+            out.write("\n".join(csv_lines) + "\n")
+    return EXIT_OK
+
+
+def _table1(args) -> tuple[list[str], list[str]]:
+    """The comparison table's lines and its CSV's lines, one row per Table 1 scenario."""
     table = [f"{'scenario':<20}{'filter':>10}{'smoother':>10}   reference (filter/smoother)"]
     csv_lines = [
         "initial_state,sigma,steps,trials,filter_mean,filter_std,"
@@ -130,11 +143,7 @@ def _cmd_replicate_table1(args) -> int:
             f"{init},{sigma:g},{config.steps},{config.trials},{filter_mean!r},{filter_std!r},"
             f"{smoother_mean!r},{smoother_std!r},{reference_filter},{reference_smoother}"
         )
-    print("\n".join(table), file=sys.stderr if args.out == "-" else sys.stdout)
-    if args.out is not None:
-        with _output(args.out) as out:
-            out.write("\n".join(csv_lines) + "\n")
-    return EXIT_OK
+    return table, csv_lines
 
 
 def _cmd_export_matrices(args) -> int:
@@ -142,7 +151,8 @@ def _cmd_export_matrices(args) -> int:
     sensor.gaussian_kernel(0, 0, args.sigma)  # raises on a bad sigma
     transition, observation = experiment.build_model(graph, args.sigma)
     write = matrixio.write_matrix_csv if args.format == "csv" else matrixio.write_matrix_pgm
-    for name, matrix in (("transition", transition), ("observation", observation)):
+    # the one command that writes the M x M observation matrix out, and so builds it
+    for name, matrix in (("transition", transition), ("observation", observation.dense())):
         path = f"{args.out_prefix}_{name}.{args.format}"
         with _output(path) as out:
             write(matrix, out)

@@ -80,13 +80,33 @@ def column_cdfs(matrix):
     0, and the running sum of their values, padded with the column total.
     Adding 0.0 leaves a running sum unchanged, so ``cdf[i]`` equals the dense
     ``np.cumsum(matrix, axis=0)[ids[i] - 1, i]`` bit for bit, padding included.
+
+    ``matrix`` is a dense array, scanned a block of rows at a time, or a
+    ``sensor.ObservationModel``, read a block of columns at a time through its
+    band.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    if isinstance(matrix, sensor.ObservationModel):
+        width, groups = matrix.column_entries()
+    else:
+        matrix = np.asarray(matrix, dtype=float)
+        width, groups = int(np.count_nonzero(matrix, axis=0).max()), _row_blocks(matrix)
     n = matrix.shape[1]
-    ids = np.zeros((n, np.count_nonzero(matrix, axis=0).max()), dtype=np.int64)
+    ids = np.zeros((n, width), dtype=np.int64)
     cdf = np.zeros(ids.shape)
     filled = np.zeros(n, dtype=np.intp)  # nonzeros placed so far, per column
-    # rows a block at a time, so the index arrays of a dense matrix stay small
+    # each group is sorted by column, then row, and a column's groups come in row order
+    for rows, columns, values in groups:
+        positions = filled[columns] + np.arange(columns.size) - np.searchsorted(columns, columns)
+        ids[columns, positions] = rows + 1
+        cdf[columns, positions] = values
+        filled += np.bincount(columns, minlength=n)
+    width = int(filled.max())  # width only bounds the count for an ObservationModel
+    return ids[:, :width], np.cumsum(cdf[:, :width], axis=1, out=cdf[:, :width])
+
+
+def _row_blocks(matrix):
+    """A dense matrix's nonzeros a block of rows at a time, so its index arrays stay small."""
+    n = matrix.shape[1]
     chunk = max(1, _BATCH_BYTES // (8 * n))
     for start in range(0, matrix.shape[0], chunk):
         block = matrix[start:start + chunk].reshape(-1)
@@ -94,11 +114,7 @@ def column_cdfs(matrix):
         # regroup by column; the stable sort keeps each column's rows ascending
         hits = hits[np.argsort(hits % n, kind="stable")]
         rows, columns = np.divmod(hits, n)
-        positions = filled[columns] + np.arange(hits.size) - np.searchsorted(columns, columns)
-        ids[columns, positions] = start + rows + 1
-        cdf[columns, positions] = block[hits]
-        filled += np.bincount(columns, minlength=n)
-    return ids, np.cumsum(cdf, axis=1, out=cdf)
+        yield start + rows, columns, block[hits]
 
 
 def _draw(column_cdf, x, u):
@@ -165,8 +181,12 @@ def read_graph(map_source: str) -> roadmap.RoadGraph:
 
 
 def build_model(graph: roadmap.RoadGraph, sigma: float):
-    """The graph's M x M (transition, observation) matrices; check every input before calling."""
-    observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
+    """The graph's (transition, observation) model; check every input before calling.
+
+    The transition is a dense M x M matrix, the observation a
+    ``sensor.ObservationModel``: its ``dense()`` is the M x M matrix.
+    """
+    observation = sensor.observation_model(graph, sigma)
     return roadmap.build_transition_matrix(graph), observation
 
 
@@ -209,8 +229,11 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
             forward = inference.forward_pass(transition, observation, y, prior)
             filtered = inference.map_estimate(forward.vectors).T
             if smoother:
+                # the backward messages, which hold the smoothed beliefs, are freed here:
+                # the next batch's passes overlap only this batch's forward messages
                 backward = inference.backward_pass(transition, observation, y)
                 smoothed = inference.map_estimate(inference.smooth(forward, backward)).T
+                del backward
         except inference.InferenceError as exc:
             raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
         yield x.T, y.T, filtered, smoothed

@@ -15,6 +15,11 @@ by N column normalizers; one sequence runs as the batch of one, a
 matrix-vector product. For N > 1 the matrix-matrix product may round
 differently in the last bit, so batched beliefs can differ by an ulp.
 
+The observation model is a dense (M, M) matrix or a
+``sensor.ObservationModel``. The passes read its likelihood rows a chunk of
+steps at a time, building the rows of the chunk's distinct measured ids
+once; a chunk's rows take at most 1 MiB, whatever T is.
+
 The smoother writes its product into the backward messages' storage, so a
 smoothing run holds two belief arrays, the forward and the smoothed ones.
 """
@@ -24,6 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import sensor
+
+#: Bytes of likelihood rows that one chunk of steps may build
+_CHUNK_BYTES = 1 << 20
 
 
 class InferenceError(ValueError):
@@ -90,13 +100,13 @@ def _check(normalizers: np.ndarray, reason: str, batched: bool, step_of=lambda t
         raise InferenceError(reason, step_of(int(first[0])), int(first[1]) if batched else None)
 
 
-def _observation_rows(obs: np.ndarray, measurements) -> tuple[np.ndarray, bool]:
+def _observation_rows(obs, measurements) -> tuple[np.ndarray, bool]:
     """Measurements as 0-based observation rows of shape (T, N), and whether they were a batch."""
     ids = np.asarray(measurements)
     batched = ids.ndim == 2
     if not batched:
         ids = ids.reshape(-1, 1)
-    m = obs.shape[0]
+    m = np.shape(obs)[0]
     bad = np.argwhere(~((ids >= 1) & (ids <= m)))
     if bad.size:
         step, trial = (int(i) for i in bad[0])
@@ -106,6 +116,27 @@ def _observation_rows(obs: np.ndarray, measurements) -> tuple[np.ndarray, bool]:
             trial if batched else None,
         )
     return ids.astype(np.intp) - 1, batched
+
+
+def _likelihood(obs, rows: np.ndarray):
+    """A function of step t: the (N, M) likelihood rows of the measurements ``rows[t]``.
+
+    The rows are built a chunk of C steps at a time, once per distinct id in
+    the chunk. C depends on M and N alone: the chunk's C * N ids need at most
+    ``_CHUNK_BYTES`` of rows, whatever T is. Steps may come in either direction.
+    """
+    size = max(1, _CHUNK_BYTES // (8 * max(np.shape(obs)[0] * rows.shape[1], 1)))
+    table = index = start = None
+
+    def at(t: int) -> np.ndarray:
+        nonlocal table, index, start
+        if start is None or not start <= t < start + size:
+            table = None  # free the previous chunk's rows first
+            start = t - t % size
+            table, index = sensor.likelihood_table(obs, rows[start:start + size])
+        return table[index[t - start]]
+
+    return at
 
 
 def _messages(vectors: np.ndarray, logs: np.ndarray, batched: bool) -> ScaledMessages:
@@ -121,8 +152,8 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     is (N, M), or one (M,) prior shared by all N.
     """
     A = np.asarray(A, dtype=float)
-    obs = np.asarray(obs, dtype=float)
     rows, batched = _observation_rows(obs, measurements)
+    likelihood = _likelihood(obs, rows)
     steps, n = rows.shape
     m = A.shape[0]
     # a C-contiguous (M, N) copy, so A @ belief runs the same BLAS call for every layout
@@ -133,7 +164,7 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     # loop names the first one, and checking once keeps it out of the loop.
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(steps):
-            unnormalized = obs[rows[t]].T * (A @ belief)
+            unnormalized = likelihood(t).T * (A @ belief)
             normalizers[t] = unnormalized.sum(axis=0)
             belief = unnormalized / normalizers[t]
             vectors[t] = belief.T
@@ -148,8 +179,8 @@ def backward_pass(A, obs, measurements) -> ScaledMessages:
     log M); earlier messages fold in future measurements one at a time.
     """
     A = np.asarray(A, dtype=float)
-    obs = np.asarray(obs, dtype=float)
     rows, batched = _observation_rows(obs, measurements)
+    likelihood = _likelihood(obs, rows)
     steps, n = rows.shape
     m = A.shape[0]
     vectors = np.empty((steps, n, m))
@@ -159,7 +190,7 @@ def backward_pass(A, obs, measurements) -> ScaledMessages:
     transposed = A.T
     with np.errstate(divide="ignore", invalid="ignore"):  # checked after the loop
         for t in range(steps - 2, -1, -1):
-            raw = transposed @ (obs[rows[t + 1]] * vectors[t + 1]).T
+            raw = transposed @ (likelihood(t + 1) * vectors[t + 1]).T
             normalizers[t] = raw.sum(axis=0)
             vectors[t] = (raw / normalizers[t]).T
     # the recursion runs backwards, so the first bad normalizer is the last in time:

@@ -3,15 +3,25 @@
 The base matrix concentrates probability on the true position and spreads
 the rest over graph neighbors. The Gaussian over node-index distance, a 1-D
 kernel of M values, is then superimposed on every column and the column
-renormalized, in the base's own storage. Far from the diagonal the kernel
-underflows to exactly 0 (from index distance 39 at sigma = 1), so an entry
-whose base is also 0 stays 0: a measurement there is impossible under the
-model. Matrices are column-stochastic: entry [j-1, i-1] = P(measure j | at i).
+renormalized: entry [j-1, i-1] = P(measure j | at i) =
+(base[j-1, i-1] + kernel[|j - i|]) / total[i-1]. Far from the diagonal the
+kernel underflows to exactly 0 (from index distance 39 at sigma = 1), so an
+entry whose base is also 0 stays 0: a measurement there is impossible under
+the model. Matrices are column-stochastic.
+
+``ObservationModel`` keeps that matrix in its parts: the kernel, the column
+totals and the base's nonzeros as (row, column, value) triples. It builds
+the likelihood rows of a set of measured ids, and each column's nonzeros a
+block of columns at a time, without an M x M array; ``dense()`` builds the
+whole matrix. Every read equals the dense ``apply_gaussian_noise`` build bit
+for bit: each entry is the same two rounded operations, ``_noisy``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +29,9 @@ from .roadmap import RoadGraph
 
 #: Probability that a node with neighbors is measured as itself, before noise.
 _DIAGONAL = 0.7
+
+#: Cells of the window a block of columns is read through in ``column_entries``
+_BLOCK_CELLS = 1 << 16
 
 
 def gaussian_kernel(j, i, sigma: float):
@@ -35,13 +48,13 @@ def gaussian_kernel(j, i, sigma: float):
         return np.exp(-(d * d) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def build_confusion_base(graph: RoadGraph) -> np.ndarray:
-    """Discrete confusion matrix before noise.
+def confusion_entries(graph: RoadGraph):
+    """The confusion base's nonzeros: (rows, columns, values), sorted by column, then row.
 
     Column i puts 0.7 on i itself and splits the remaining mass uniformly
     over the nodes adjacent to i in either direction; pairs that are not
     directly connected get zero. A node with no neighbors observes itself
-    with probability 1.
+    with probability 1. Indices are 0-based.
     """
     m = graph.num_nodes
     pairs = {(e.src - 1, e.dst - 1) for e in graph.edges if e.src != e.dst}
@@ -49,16 +62,51 @@ def build_confusion_base(graph: RoadGraph) -> np.ndarray:
     entries = pairs | {(j, i) for i, j in pairs}
     rows, columns = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
     neighbors = np.bincount(columns, minlength=m)
-    base = np.zeros((m, m))
-    base[rows, columns] = ((1.0 - _DIAGONAL) / np.maximum(neighbors, 1))[columns]
-    np.fill_diagonal(base, np.where(neighbors > 0, _DIAGONAL, 1.0))
+    values = ((1.0 - _DIAGONAL) / np.maximum(neighbors, 1))[columns]
+    diagonal = np.arange(m)
+    rows, columns = np.concatenate([rows, diagonal]), np.concatenate([columns, diagonal])
+    values = np.concatenate([values, np.where(neighbors > 0, _DIAGONAL, 1.0)])
+    order = np.argsort(columns * m + rows, kind="stable")
+    return rows[order], columns[order], values[order]
+
+
+def build_confusion_base(graph: RoadGraph) -> np.ndarray:
+    """Discrete confusion matrix before noise: ``confusion_entries`` written out as M x M."""
+    rows, columns, values = confusion_entries(graph)
+    base = np.zeros((graph.num_nodes, graph.num_nodes))
+    base[rows, columns] = values
     return base
 
 
-def _diagonal(a: np.ndarray, d: int) -> np.ndarray:
-    """Writable view of diagonal d of a C-contiguous square array: a[i + d, i]."""
-    m = a.shape[0]
-    return a.reshape(-1)[d * m if d >= 0 else -d::m + 1][:m - abs(d)]
+def _noise(m: int, sigma: float):
+    """(kernel, totals, k): kernel[d] = gaussian_kernel(d, 0, sigma) for d = 0..M-1,
+    column i's normalizer 1 + sum_j kernel[|j - i|], and the kernel's nonzero extent.
+
+    The sum covers only the band |j - i| < k, the kernel being 0 from distance
+    k on, and adds its rows in increasing order, as a dense sum over axis 0
+    does; the exact zeros it skips change nothing.
+    """
+    kernel = gaussian_kernel(np.arange(m), 0, sigma)
+    k = int(np.flatnonzero(kernel)[-1]) + 1 if m else 0
+    totals = np.zeros(m)
+    for d in range(1 - k, k):  # d = j - i, increasing
+        totals[max(-d, 0):m - max(d, 0)] += kernel[abs(d)]
+    totals += 1.0
+    return kernel, totals, k
+
+
+def _kernel_grid(kernel: np.ndarray) -> np.ndarray:
+    """Read-only M x M view with [j, i] = kernel[|j - i|], over 2M - 1 values."""
+    m = kernel.size
+    mirrored = np.concatenate([kernel[:0:-1], kernel])  # [m - 1 + d] = kernel[|d|]
+    return np.lib.stride_tricks.sliding_window_view(mirrored, m)[::-1]
+
+
+def _noisy(base, kernel, totals):
+    """The observation entries (base + kernel) / totals, written into ``base``."""
+    base += kernel
+    base /= totals
+    return base
 
 
 def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
@@ -67,22 +115,117 @@ def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
     Column i becomes (base[:, i] + g[:, i]) / (1 + sum_j g[j, i]) with
     g[j, i] = kernel[|j - i|], where kernel[d] = gaussian_kernel(d, 0, sigma)
     is computed once for d = 0..M-1; columns still sum to 1. An entry is 0
-    where base is 0 and the kernel has underflowed to 0.
-
-    Only the band |j - i| < K is touched, K being the kernel's nonzero extent
-    (39 at sigma = 1). Each column's kernel sum adds its rows in increasing
-    order, as a dense sum over axis 0 does; the exact zeros it skips change
-    nothing, so every byte equals the dense build's. The result is written
-    into, and returned as, a C-contiguous float ``base``: pass a copy to keep it.
+    where base is 0 and the kernel has underflowed to 0. g is a strided view
+    of 2M - 1 values, so the build allocates vectors of M values only. The
+    result is written into, and returned as, a C-contiguous float ``base``:
+    pass a copy to keep it.
     """
     base = np.ascontiguousarray(base, dtype=float)
-    m = base.shape[0]
-    kernel = gaussian_kernel(np.arange(m), 0, sigma)
-    k = int(np.flatnonzero(kernel)[-1]) + 1 if m else 0  # the kernel is 0 from distance k on
-    total = np.zeros(m)
-    for d in range(1 - k, k):  # d = j - i, increasing
-        total[max(-d, 0):m - max(d, 0)] += kernel[abs(d)]
-        _diagonal(base, d)[...] += kernel[abs(d)]
-    total += 1.0
-    base /= total
-    return base
+    kernel, totals, _ = _noise(base.shape[0], sigma)
+    return _noisy(base, _kernel_grid(kernel), totals)
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationModel:
+    """The M x M observation matrix of ``observation_model``, kept in its parts.
+
+    ``kernel`` (M,) holds the Gaussian at index distance 0..M-1, zero from
+    ``extent`` on; ``totals`` (M,) the column normalizers; ``rows``,
+    ``columns`` and ``values`` the confusion base's nonzeros, 0-based and
+    sorted by column, then row. ``shape`` is (M, M), so ``np.shape`` reads it
+    without building the matrix.
+    """
+
+    kernel: np.ndarray
+    totals: np.ndarray
+    extent: int
+    rows: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.kernel.size, self.kernel.size)
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        return _kernel_grid(self.kernel)
+
+    def likelihood_table(self, ids):
+        """(table, index): rows ``ids`` of the matrix are ``table[index]``.
+
+        ``ids`` are 0-based measured nodes of any shape, repeats allowed;
+        ``table`` holds each distinct id's row once, found with an O(M)
+        presence mask, and ``index`` has the shape of ``ids``.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        present = np.zeros(self.kernel.size, dtype=bool)
+        present[ids] = True
+        distinct = np.flatnonzero(present)
+        slot = np.full(self.kernel.size, -1)  # node -> its row in the table
+        slot[distinct] = np.arange(distinct.size)
+        at = slot[self.rows]
+        keep = at >= 0
+        base = np.zeros((distinct.size, self.kernel.size))
+        base[at[keep], self.columns[keep]] = self.values[keep]
+        return _noisy(base, self._grid[distinct], self.totals), slot[ids]
+
+    def dense(self) -> np.ndarray:
+        """The whole M x M matrix, in one array."""
+        base = np.zeros(self.shape)
+        base[self.rows, self.columns] = self.values
+        return _noisy(base, self._grid, self.totals)
+
+    def column_entries(self):
+        """(width, groups): every column's nonzeros, a block of columns at a time.
+
+        Each group is (rows, columns, values), sorted by column, then row, and
+        a column's groups come in increasing row order. A block reads the band
+        of its columns through one window of rows, plus the base entries above
+        and below that window; ``width`` bounds any column's count of nonzeros.
+        """
+        m, k = self.kernel.size, self.extent
+        ids = np.arange(m)
+        off_band = np.abs(self.rows - self.columns) >= k
+        band = np.minimum(m, ids + k) - np.maximum(0, ids - k + 1)
+        width = int((band + np.bincount(self.columns[off_band], minlength=m)).max())
+        # the window is (block) x (block + 2k - 2) cells at most
+        block = max(1, math.isqrt(k * k + _BLOCK_CELLS) - k)
+        return width, self._column_groups(block)
+
+    def _column_groups(self, block: int):
+        m, k = self.kernel.size, self.extent
+        grid = self._grid
+        starts = np.searchsorted(self.columns, np.arange(0, m + block, block))
+        for c0, a, b in zip(range(0, m, block), starts, starts[1:]):
+            c1 = min(c0 + block, m)
+            lo, hi = max(0, c0 - k + 1), min(m, c1 + k - 1)  # the rows of the block's band
+            rows, columns, values = self.rows[a:b], self.columns[a:b], self.values[a:b]
+            inside = (rows >= lo) & (rows < hi)
+            # window[c - c0, r - lo] is entry [r, c]; the grid is symmetric
+            window = np.zeros((c1 - c0, hi - lo))
+            window[columns[inside] - c0, rows[inside] - lo] = values[inside]
+            _noisy(window, grid[c0:c1, lo:hi], self.totals[c0:c1, None])
+            hits = np.flatnonzero(window)
+            # base entries off the window lie off the band, and a base entry over
+            # its column total is never 0
+            r, c = rows[~inside], columns[~inside]
+            v = _noisy(values[~inside], self.kernel[np.abs(r - c)], self.totals[c])
+            below = r < lo
+            yield r[below], c[below], v[below]
+            yield lo + hits % (hi - lo), c0 + hits // (hi - lo), window.reshape(-1)[hits]
+            yield r[~below], c[~below], v[~below]
+
+
+def observation_model(graph: RoadGraph, sigma: float) -> ObservationModel:
+    """The graph's observation model at ``sigma``; raises on a bad sigma."""
+    kernel, totals, extent = _noise(graph.num_nodes, sigma)
+    return ObservationModel(kernel, totals, extent, *confusion_entries(graph))
+
+
+def likelihood_table(observation, ids):
+    """(table, index) with ``table[index]`` the rows ``ids`` (0-based, any shape)
+    of an ObservationModel or of a dense matrix, which is its own table."""
+    if isinstance(observation, ObservationModel):
+        return observation.likelihood_table(ids)
+    return np.asarray(observation, dtype=float), np.asarray(ids, dtype=np.intp)

@@ -42,6 +42,15 @@ def chain5_graph():
 
 
 @pytest.fixture(scope="session")
+def far_graph():
+    """120 nodes on a two-way chain, plus a two-way edge 1 <-> 120 and node 60 that only parks."""
+    pairs = [(a, a + 1) for a in range(1, 120) if 60 not in (a, a + 1)] + [(1, 120)]
+    edges = [roadmap.Edge(a, b, 1.0) for a, b in pairs] + [roadmap.Edge(b, a, 1.0) for a, b in pairs]
+    edges += [roadmap.Edge(n, n, 1.0) for n in range(1, 121)]
+    return roadmap.RoadGraph(120, tuple(edges))
+
+
+@pytest.fixture(scope="session")
 def default_graph():
     return roadmap.generate_default_map()
 

@@ -424,6 +424,37 @@ def test_replicate_table1_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def count_runs(monkeypatch):
+    """Count the calls of ``experiment.run_experiment`` into the returned list."""
+    runs = []
+    run_experiment = experiment.run_experiment
+
+    def counting(config):
+        runs.append(config)
+        return run_experiment(config)
+
+    monkeypatch.setattr(experiment, "run_experiment", counting)
+    return runs
+
+
+def test_replicate_table1_opens_out_before_running_any_scenario(tmp_path, capsys, monkeypatch):
+    runs = count_runs(monkeypatch)
+    out = tmp_path / "missing" / "table1.csv"
+    assert main(["replicate-table1", "--trials", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"I/O error: [Errno 2] No such file or directory: '{out}'\n"
+    assert runs == [] and not out.parent.exists()
+
+
+def test_replicate_table1_checks_trials_before_opening_out(tmp_path, capsys, monkeypatch):
+    runs = count_runs(monkeypatch)
+    out = tmp_path / "table1.csv"
+    assert main(["replicate-table1", "--trials", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: trials must be >= 1\n")
+    assert runs == [] and not out.exists()
+
+
 def table1_csv_rows(seed, trials, tmp_path):
     """The rows of ``replicate-table1 --seed SEED --trials TRIALS --out FILE`` as dicts."""
     out = tmp_path / "table1.csv"
@@ -511,7 +542,7 @@ def test_export_csv_text_is_repr_of_each_entry(tmp_path):
     prefix = tmp_path / "default"
     assert main(["export-matrices", "--sigma", "2", "--out-prefix", str(prefix)]) == 0
     transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
-    for name, matrix in (("transition", transition), ("observation", observation)):
+    for name, matrix in (("transition", transition), ("observation", observation.dense())):
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
         assert (tmp_path / f"default_{name}.csv").read_bytes() == expected.encode()
 
@@ -552,7 +583,8 @@ class Discard:
     ids=["default-sigma1", "default-sigma2", "700-sigma1"],
 )
 def test_pgm_text_equals_whole_matrix_reference(generated, sigma):
-    for matrix in experiment.build_model(roadmap.generate_default_map(**generated), sigma):
+    transition, observation = experiment.build_model(roadmap.generate_default_map(**generated), sigma)
+    for matrix in (transition, observation.dense()):
         out = io.StringIO()
         matrixio.write_matrix_pgm(matrix, out)
         assert out.getvalue() == reference_pgm(matrix)
@@ -628,7 +660,7 @@ def test_infer_trace_matches_oracle(tmp_path, small_map_path):
     )
     transition, observation = experiment.build_model(experiment.read_graph(small_map_path), 1.0)
     filtered, smoothed, _ = oracle.enumerate_posteriors(
-        transition, observation, inference.point_mass_belief(4, 1), sequence
+        transition, observation.dense(), inference.point_mass_belief(4, 1), sequence
     )
     lines = out.read_text().splitlines()[1:]
     rows = [[float(v) for v in line.split(",")[4:]] for line in lines]

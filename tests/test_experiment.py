@@ -61,7 +61,7 @@ def test_inverse_cdf_skips_zero_probability_state_beyond_rounded_down_total():
 def test_largest_uniform_draws_positive_probability_state_on_default_map(sigma):
     transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
     largest = 1.0 - 2.0**-53  # the largest value Generator.random() returns
-    for matrix in (transition, observation):
+    for matrix in (transition, observation.dense()):
         ids = experiment.inverse_cdf_sample(
             np.cumsum(matrix, axis=0), np.full(matrix.shape[1], largest)
         )
@@ -131,7 +131,7 @@ def assert_column_cdfs_match_dense(matrix):
 def test_column_cdfs_match_dense_cumsum_on_default_model(sigma):
     transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
     assert_column_cdfs_match_dense(transition)
-    assert_column_cdfs_match_dense(observation)
+    assert_column_cdfs_match_dense(observation.dense())
 
 
 def test_column_cdfs_match_dense_cumsum_on_generated_map():
@@ -170,6 +170,47 @@ def test_column_cdfs_draw_below_a_rounded_down_total():
     largest = 1.0 - 2.0**-53
     dense = experiment.inverse_cdf_sample(np.cumsum(matrix[:, 0]), largest)
     assert ids[0, experiment.inverse_cdf_sample(cdf[0], largest) - 1] == dense == 2
+
+
+def assert_same_cdfs(actual, expected):
+    """Two (ids, cdf) pairs with the same shapes and the same bits."""
+    for a, b in zip(actual, expected, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def cdf_graphs(default_graph, far_graph):
+    return {"default": default_graph, "700": roadmap.generate_default_map(num_nodes=700),
+            "far": far_graph}
+
+
+CDF_CASES = [("default", 1.0), ("default", 2.0), ("default", 0.05), ("default", 0.7),
+             ("default", 60.0), ("700", 1.0), ("700", 0.05), ("700", 0.7), ("far", 1.0)]
+
+
+@pytest.mark.parametrize("block_cells", [None, 64], ids=["blocks", "small-blocks"])
+@pytest.mark.parametrize("name, sigma", CDF_CASES, ids=[f"{n}-{s:g}" for n, s in CDF_CASES])
+def test_column_cdfs_of_an_observation_model_equal_the_dense_scan(
+    monkeypatch, cdf_graphs, name, sigma, block_cells
+):
+    # sigma 0.7 is where the kernel's last nonzero rounds to 0 in most columns,
+    # so the count of nonzeros is below the band's width
+    if block_cells is not None:  # many blocks, so off-window entries occur on small maps
+        monkeypatch.setattr(sensor, "_BLOCK_CELLS", block_cells)
+    graph = cdf_graphs[name]
+    dense = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
+    expected = experiment.column_cdfs(dense)
+    assert_same_cdfs(experiment.column_cdfs(sensor.observation_model(graph, sigma)), expected)
+    assert_column_cdfs_match_dense(dense)
+
+
+def test_column_cdfs_of_an_observation_model_hold_little_beyond_their_output():
+    # at sigma 1e4 every column is nonzero, so K = M and the two outputs take 2 M x M
+    num_nodes = 1500
+    model = sensor.observation_model(roadmap.generate_default_map(num_nodes=num_nodes, seed=0), 1e4)
+    peak = traced_peak(lambda: experiment.column_cdfs(model))
+    assert peak <= 2.25 * num_nodes**2 * 8
 
 
 # ---- sample_trajectory ----
@@ -254,6 +295,8 @@ def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
         transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
     seeds = [experiment.trial_seed(8, t) for t in range(6)]
     states, measurements = experiment.sample_trajectory(transition, observation, 5, 60, seeds)
+    if isinstance(observation, sensor.ObservationModel):
+        observation = observation.dense()
     for i, seed in enumerate(seeds):
         reference = scalar_reference_sample(transition, observation, 5, 60, seed)
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
@@ -519,12 +562,30 @@ def traced_peak(run):
 
 
 def test_simulate_trials_holds_at_most_two_model_matrices(tmp_path):
+    # at most one and a half: the transition matrix; the observation model is its
+    # kernel, totals and confusion entries, and its sampling tables are M x K
+    # with K about 80. The first batch of one step, then two trials of 50 steps.
     num_nodes = 1500
     path = tmp_path / "map.json"
     path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=num_nodes, seed=0)))
-    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=1, trials=1, map_source=str(path))
-    peak = traced_peak(lambda: next(experiment.simulate_trials(config)))
-    assert peak <= 2.75 * num_nodes**2 * 8
+    for steps, trials, run in ((1, 1, next), (50, 2, list)):
+        config = ExperimentConfig(initial_state=5, sigma=1.0, steps=steps, trials=trials,
+                                  map_source=str(path))
+        peak = traced_peak(lambda: run(experiment.simulate_trials(config)))
+        assert peak <= 1.5 * num_nodes**2 * 8
+
+
+def test_simulate_trials_frees_each_batch_before_the_next(monkeypatch):
+    # 8 MiB belief arrays, so that the model and the per-step arrays (about 0.7 MiB) count little
+    monkeypatch.setattr(experiment, "_BATCH_BYTES", 8 << 20)
+    steps = 400
+    width = experiment.batch_width(steps, 105)
+    belief = steps * width * 105 * 8
+    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=steps, trials=2 * width)
+    peak = traced_peak(lambda: [None for _ in experiment.simulate_trials(config)])
+    # a batch's forward and backward arrays; the previous batch's backward array,
+    # kept alive through the next batch's passes, would make three (3.2 measured)
+    assert peak < 2.5 * belief
 
 
 NAN_SIGMA = "error: sigma must be positive and finite, and so must 2*sigma^2, got nan\n"
@@ -749,7 +810,7 @@ def test_build_model_default_and_file(tmp_path, default_graph):
     transition, observation = experiment.build_model(graph, 1.0)
     assert graph == default_graph
     assert_allclose(transition.sum(axis=0), 1.0, atol=1e-12)
-    assert_allclose(observation.sum(axis=0), 1.0, atol=1e-12)
+    assert_allclose(observation.dense().sum(axis=0), 1.0, atol=1e-12)
     path = tmp_path / "map.json"
     path.write_text(roadmap.save_map(default_graph))
     file_graph = experiment.read_graph(str(path))

@@ -321,3 +321,85 @@ def test_noise_copies_a_fortran_base_and_rejects_a_read_only_one(default_base):
     assert out.tobytes() == sensor.apply_gaussian_noise(default_base.copy(), 1.0).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         sensor.apply_gaussian_noise(default_base, 1.0)
+
+
+# ---- ObservationModel ----
+
+
+def bits(array):
+    """The raw 64-bit patterns of a float array, so -0.0 and 0.0 or two NaNs are told apart."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+# sigma 0.05: the band is 3 wide; 0.7: the kernel's last nonzero value is the
+# smallest subnormal, which rounds to 0 against a column total above 2; 60: on
+# the default map the band covers all of M
+MODEL_CASES = [
+    ("default", 1.0), ("default", 2.0), ("default", 0.05), ("default", 0.7), ("default", 60.0),
+    ("generated700", 1.0), ("generated700", 0.05), ("generated700", 0.7), ("far", 1.0),
+    ("single", 1.0),
+]
+
+
+@pytest.fixture(scope="module")
+def model_graphs(reference_graphs, far_graph):
+    return {**reference_graphs, "far": far_graph}
+
+
+@pytest.mark.parametrize("name, sigma", MODEL_CASES, ids=[f"{n}-{s:g}" for n, s in MODEL_CASES])
+def test_observation_model_reads_equal_the_dense_build_bit_for_bit(model_graphs, name, sigma):
+    graph = model_graphs[name]
+    dense = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
+    assert np.array_equal(bits(dense), bits(reference_noise(sensor.build_confusion_base(graph), sigma)))
+    model = sensor.observation_model(graph, sigma)
+    m = graph.num_nodes
+    assert model.shape == np.shape(model) == dense.shape
+    assert np.array_equal(bits(model.dense()), bits(dense))
+    everything = np.arange(m)
+    rng = np.random.default_rng(m)
+    some = rng.permutation(m)[: max(1, m // 3)]  # distinct, unsorted
+    repeated = rng.integers(0, m, size=(30, 7))  # (steps, trials), with repeats
+    for ids in (everything, some, repeated):
+        for observation in (model, dense):
+            table, index = sensor.likelihood_table(observation, ids)
+            assert index.shape == ids.shape
+            assert np.array_equal(bits(table[index]), bits(dense[ids]))
+    table, _ = model.likelihood_table(repeated)
+    assert table.shape == (np.unique(repeated).size, m)  # each distinct row once
+    table, index = model.likelihood_table(everything)
+    assert np.array_equal(bits(table), bits(dense)) and np.array_equal(index, everything)
+
+
+def test_observation_model_cases_cover_the_band_shapes(model_graphs):
+    def parts(name, sigma):
+        model = sensor.observation_model(model_graphs[name], sigma)
+        dense = model.dense()
+        ids = np.arange(model.shape[0])
+        band = np.abs(ids[:, None] - ids[None, :]) < model.extent
+        off_band = np.abs(model.rows - model.columns) >= model.extent
+        return model, dense, band, off_band
+
+    model, _, _, off_band = parts("default", 0.05)
+    assert model.extent == 2 and off_band.any()  # a 3-wide band, and entries off it
+    model, dense, band, off_band = parts("default", 0.7)
+    assert model.kernel[model.extent - 1] == 5e-324
+    assert np.any(band & (dense == 0.0))  # outer band entries round to exactly 0
+    model, dense, band, off_band = parts("default", 60.0)
+    assert band.all() and not off_band.any() and np.all(dense > 0.0)
+    model, dense, _, off_band = parts("far", 1.0)
+    assert dense[119, 0] > 0.0 and dense[0, 119] > 0.0 and off_band.sum() == 2
+    assert dense[59, 59] == (1.0 + model.kernel[0]) / model.totals[59]  # no neighbors
+
+
+def test_observation_model_holds_no_matrix(reference_graphs):
+    graph = reference_graphs["generated700"]
+    tracemalloc.start()
+    try:
+        model = sensor.observation_model(graph, 1.0)
+        rows, _ = model.likelihood_table(np.arange(0, 700, 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kernel, the totals, the confusion entries, and 35 rows built in two arrays
+    assert rows.shape == (35, 700)
+    assert peak < 0.25 * 700 * 700 * 8
