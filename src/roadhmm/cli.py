@@ -148,7 +148,6 @@ def _table1(args) -> tuple[list[str], list[str]]:
 
 def _cmd_export_matrices(args) -> int:
     graph = experiment.read_graph(args.map)
-    sensor.gaussian_kernel(0, 0, args.sigma)  # raises on a bad sigma
     transition, observation = experiment.build_model(graph, args.sigma)
     write = matrixio.write_matrix_csv if args.format == "csv" else matrixio.write_matrix_pgm
     # the one command that writes the M x M observation matrix out, and so builds it

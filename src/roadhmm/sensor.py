@@ -13,8 +13,8 @@ the model. Matrices are column-stochastic.
 totals and the base's nonzeros as (row, column, value) triples. It builds
 the likelihood rows of a set of measured ids, and each column's nonzeros a
 block of columns at a time, without an M x M array; ``dense()`` builds the
-whole matrix. Every read equals the dense ``apply_gaussian_noise`` build bit
-for bit: each entry is the same two rounded operations, ``_noisy``.
+whole matrix. Every read computes an entry with the same two rounded
+operations, ``_noisy``, so all reads agree bit for bit.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ def confusion_entries(graph: RoadGraph):
     return rows[order], columns[order], values[order]
 
 
-def build_confusion_base(graph: RoadGraph) -> np.ndarray:
-    """Discrete confusion matrix before noise: ``confusion_entries`` written out as M x M."""
-    rows, columns, values = confusion_entries(graph)
-    base = np.zeros((graph.num_nodes, graph.num_nodes))
-    base[rows, columns] = values
-    return base
-
-
 def _noise(m: int, sigma: float):
     """(kernel, totals, k): kernel[d] = gaussian_kernel(d, 0, sigma) for d = 0..M-1,
     column i's normalizer 1 + sum_j kernel[|j - i|], and the kernel's nonzero extent.
@@ -95,34 +87,11 @@ def _noise(m: int, sigma: float):
     return kernel, totals, k
 
 
-def _kernel_grid(kernel: np.ndarray) -> np.ndarray:
-    """Read-only M x M view with [j, i] = kernel[|j - i|], over 2M - 1 values."""
-    m = kernel.size
-    mirrored = np.concatenate([kernel[:0:-1], kernel])  # [m - 1 + d] = kernel[|d|]
-    return np.lib.stride_tricks.sliding_window_view(mirrored, m)[::-1]
-
-
 def _noisy(base, kernel, totals):
     """The observation entries (base + kernel) / totals, written into ``base``."""
     base += kernel
     base /= totals
     return base
-
-
-def apply_gaussian_noise(base: np.ndarray, sigma: float) -> np.ndarray:
-    """Superimpose the index Gaussian on every column and renormalize, in place.
-
-    Column i becomes (base[:, i] + g[:, i]) / (1 + sum_j g[j, i]) with
-    g[j, i] = kernel[|j - i|], where kernel[d] = gaussian_kernel(d, 0, sigma)
-    is computed once for d = 0..M-1; columns still sum to 1. An entry is 0
-    where base is 0 and the kernel has underflowed to 0. g is a strided view
-    of 2M - 1 values, so the build allocates vectors of M values only. The
-    result is written into, and returned as, a C-contiguous float ``base``:
-    pass a copy to keep it.
-    """
-    base = np.ascontiguousarray(base, dtype=float)
-    kernel, totals, _ = _noise(base.shape[0], sigma)
-    return _noisy(base, _kernel_grid(kernel), totals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +118,9 @@ class ObservationModel:
 
     @cached_property
     def _grid(self) -> np.ndarray:
-        return _kernel_grid(self.kernel)
+        """Read-only M x M view with [j, i] = kernel[|j - i|], over 2M - 1 values."""
+        mirrored = np.concatenate([self.kernel[:0:-1], self.kernel])  # [M - 1 + d] = kernel[|d|]
+        return np.lib.stride_tricks.sliding_window_view(mirrored, self.kernel.size)[::-1]
 
     def likelihood_table(self, ids):
         """(table, index): rows ``ids`` of the matrix are ``table[index]``.

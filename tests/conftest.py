@@ -68,10 +68,5 @@ def default_transition(default_graph):
 
 
 @pytest.fixture(scope="session")
-def default_base(default_graph):
-    return read_only(sensor.build_confusion_base(default_graph))
-
-
-@pytest.fixture(scope="session")
-def default_observation(default_base):
-    return read_only(sensor.apply_gaussian_noise(default_base.copy(), 1.0))
+def default_observation(default_graph):
+    return read_only(sensor.observation_model(default_graph, 1.0).dense())

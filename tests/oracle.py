@@ -1,15 +1,20 @@
-"""Correctness references for the recursive inference code.
+"""Correctness references for the recursive inference code and the observation model.
 
 ``enumerate_posteriors`` is brute force for small instances: every state
 path is materialized and weighted by initial probability times transition
 and observation factors, in plain (non-log) arithmetic. Slow by design;
 guarded by a path budget. ``log_domain_smoother`` runs the unscaled
 recursions in log space, so no message underflows at any length.
+``reference_noise(reference_confusion_base(graph), sigma)`` is the dense
+M x M observation matrix, built with a per-column loop and a full distance
+grid, independently of ``sensor.ObservationModel``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from roadhmm import sensor
 
 DEFAULT_MAX_PATHS = 10_000_000
 _CHUNK = 1 << 18
@@ -93,3 +98,37 @@ def log_domain_smoother(A, obs, initial, measurements) -> np.ndarray:
         log_beta[k] = _log_sum_exp(log_a + (log_obs[y[k + 1]] + log_beta[k + 1])[:, None], axis=0)
     joint = log_alpha + log_beta
     return np.exp(joint - _log_sum_exp(joint, axis=1)[:, None])
+
+
+def adjacency(graph):
+    """Boolean adjacency over graph.edges, symmetric over edge direction, self loops excluded."""
+    adjacent = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
+    for src, dst, _ in graph.edges:
+        if src != dst:
+            adjacent[dst - 1, src - 1] = adjacent[src - 1, dst - 1] = True
+    return adjacent
+
+
+def reference_confusion_base(graph):
+    """The confusion base, M x M, one column at a time: 0.7 on the node and the
+    rest split over its neighbors, or 1.0 on a node without neighbors."""
+    m = graph.num_nodes
+    adjacent = adjacency(graph)
+    base = np.zeros((m, m))
+    for i in range(m):
+        neighbors = np.flatnonzero(adjacent[:, i])
+        if neighbors.size == 0:
+            base[i, i] = 1.0
+        else:
+            base[i, i] = 0.7
+            base[neighbors, i] = (1.0 - 0.7) / neighbors.size
+    return base
+
+
+def reference_noise(base, sigma):
+    """``base`` with the index Gaussian added to every column and renormalized,
+    over the dense M x M distance grid."""
+    base = np.asarray(base, dtype=float)
+    ids = np.arange(1, base.shape[0] + 1)
+    g = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
+    return (base + g) / (1.0 + g.sum(axis=0))

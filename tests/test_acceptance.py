@@ -153,14 +153,14 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
 def test_criterion_5_stochasticity_and_stability():
     graph = roadmap.generate_default_map()
     transition = roadmap.build_transition_matrix(graph)
-    base = sensor.build_confusion_base(graph)
+    _, columns, values = sensor.confusion_entries(graph)
     assert np.abs(transition.sum(axis=0) - 1.0).max() <= 1e-12
-    assert np.abs(base.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(np.bincount(columns, values, graph.num_nodes) - 1.0).max() <= 1e-12
     for sigma in (1.0, 2.0):
-        observation = sensor.apply_gaussian_noise(base.copy(), sigma)
+        observation = sensor.observation_model(graph, sigma).dense()
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
-    observation = sensor.apply_gaussian_noise(base, 1.0)
+    observation = sensor.observation_model(graph, 1.0).dense()
     _, measurements = experiment.sample_trajectory(transition, observation, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
     result = inference.run_smoother(transition, observation, measurements, prior)
@@ -195,9 +195,8 @@ def test_criterion_6_cli_determinism(tmp_path):
 
 @criterion(7, "observation diagonal: 0.7 +- 0.05 before noise, [0.45, 0.65] after")
 def test_criterion_7_observation_diagonal(tmp_path):
-    graph = roadmap.generate_default_map()
-    base = sensor.build_confusion_base(graph)
-    assert abs(base.diagonal().mean() - 0.7) <= 0.05
+    rows, columns, values = sensor.confusion_entries(roadmap.generate_default_map())
+    assert abs(values[rows == columns].mean() - 0.7) <= 0.05
 
     prefix = str(tmp_path / "export")
     code = main(["export-matrices", "--sigma", "1", "--format", "csv", "--out-prefix", prefix])

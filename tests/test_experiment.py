@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracle
 from roadhmm import cli, experiment, inference, roadmap, sensor
 from roadhmm.experiment import ExperimentConfig
 
@@ -103,7 +104,7 @@ def test_single_values_are_numpy_scalars():
 
 def generated_model(sigma, num_nodes=700, seed=5):
     graph = roadmap.generate_default_map(num_nodes=num_nodes, seed=seed)
-    observation = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
+    observation = sensor.observation_model(graph, sigma).dense()
     return roadmap.build_transition_matrix(graph), observation
 
 
@@ -199,7 +200,7 @@ def test_column_cdfs_of_an_observation_model_equal_the_dense_scan(
     if block_cells is not None:  # many blocks, so off-window entries occur on small maps
         monkeypatch.setattr(sensor, "_BLOCK_CELLS", block_cells)
     graph = cdf_graphs[name]
-    dense = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
+    dense = oracle.reference_noise(oracle.reference_confusion_base(graph), sigma)
     expected = experiment.column_cdfs(dense)
     assert_same_cdfs(experiment.column_cdfs(sensor.observation_model(graph, sigma)), expected)
     assert_column_cdfs_match_dense(dense)
@@ -746,13 +747,13 @@ def calibration_gaps(transition, observation, sampler_observation):
 
 
 def test_posterior_predicts_its_own_accuracy_and_catches_a_mismatched_sampler(
-    default_transition, default_base, default_observation
+    default_graph, default_transition, default_observation
 ):
     # 2000 drives on the default map at sigma 1; measured +0.51 (filter) and -0.56 (smoother)
     gaps = calibration_gaps(default_transition, default_observation, default_observation)
     assert np.all(np.abs(gaps) < 4), gaps
     # drives whose measurements are sampled at sigma 1.5: measured -22.19 and -12.30
-    misread = sensor.apply_gaussian_noise(default_base.copy(), 1.5)
+    misread = sensor.observation_model(default_graph, 1.5).dense()
     gaps = calibration_gaps(default_transition, default_observation, misread)
     assert np.all(np.abs(gaps) > 4), gaps
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roadhmm import roadmap, sensor
+import oracle
+from roadhmm import experiment, roadmap, sensor
 
 # Frozen reference values, evaluated directly from the normal density
 # exp(-d^2 / (2 s^2)) / (s sqrt(2 pi)).
@@ -13,6 +14,11 @@ PHI_0_S1 = 0.3989422804014327
 PHI_1_S1 = 0.24197072451914337
 PHI_2_S1 = 0.05399096651318806
 PHI_0_S2 = 0.19947114020071635
+
+
+def bits(array):
+    """The raw 64-bit patterns of a float array, so -0.0 and 0.0 or two NaNs are told apart."""
+    return np.ascontiguousarray(array).view(np.uint64)
 
 
 # ---- gaussian_kernel ----
@@ -55,27 +61,27 @@ def test_kernel_on_arrays_equals_scalar_calls():
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
-def test_kernel_rejects_bad_sigma(sigma):
+def test_kernel_rejects_bad_sigma(chain5_graph, sigma):
     with pytest.raises(ValueError):
         sensor.gaussian_kernel(1, 2, sigma)
     with pytest.raises(ValueError):
-        sensor.apply_gaussian_noise(np.eye(2), sigma)
+        sensor.observation_model(chain5_graph, sigma)
 
 
 @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e300, 1e-200])
-def test_kernel_and_noise_reject_non_finite_sigma(sigma):
+def test_kernel_and_noise_reject_non_finite_sigma(chain5_graph, sigma):
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         sensor.gaussian_kernel(1, 2, sigma)
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
-        sensor.apply_gaussian_noise(np.eye(2), sigma)
+        sensor.observation_model(chain5_graph, sigma)
 
 
-def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_base):
+def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_graph):
     accepted = []
     for k in range(-320, 309):
         sigma = float(f"1e{k}")
         try:
-            out = sensor.apply_gaussian_noise(default_base.copy(), sigma)
+            out = sensor.observation_model(default_graph, sigma).dense()
         except ValueError as exc:
             assert str(exc).startswith("sigma must be positive and finite")
             assert str(exc).endswith(f"got {sigma}")
@@ -88,22 +94,30 @@ def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_base):
     assert accepted[0] <= -6 and accepted[-1] >= 4
 
 
-# ---- build_confusion_base ----
+# ---- confusion_entries ----
+
+
+def scatter(graph):
+    """The confusion base as an M x M array: ``confusion_entries`` written out."""
+    rows, columns, values = sensor.confusion_entries(graph)
+    base = np.zeros((graph.num_nodes, graph.num_nodes))
+    base[rows, columns] = values
+    return base
 
 
 def test_base_single_node_graph():
     graph = roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),))
-    assert_allclose(sensor.build_confusion_base(graph), [[1.0]])
+    assert_allclose(scatter(graph), [[1.0]])
 
 
 def test_base_two_neighbor_column(chain5_graph):
-    base = sensor.build_confusion_base(chain5_graph)
+    base = scatter(chain5_graph)
     # node 3 is adjacent to 2 and 4 only
     assert_allclose(base[:, 2], [0.0, 0.15, 0.7, 0.15, 0.0])
 
 
 def test_base_non_adjacent_pairs_are_zero(chain5_graph):
-    base = sensor.build_confusion_base(chain5_graph)
+    base = scatter(chain5_graph)
     assert base[4, 0] == 0.0
     assert base[0, 4] == 0.0
     assert base[3, 0] == 0.0
@@ -114,54 +128,30 @@ def test_base_counts_adjacency_in_either_direction():
     graph = roadmap.RoadGraph(
         2, (roadmap.Edge(1, 2, 1.0), roadmap.Edge(1, 1, 1.0), roadmap.Edge(2, 2, 1.0))
     )
-    base = sensor.build_confusion_base(graph)
+    base = scatter(graph)
     assert_allclose(base, [[0.7, 0.3], [0.3, 0.7]])
 
 
 def test_base_columns_stochastic_and_diagonal_on_target(default_graph):
-    base = sensor.build_confusion_base(default_graph)
+    base = scatter(default_graph)
     assert np.abs(base.sum(axis=0) - 1.0).max() <= 1e-12
     assert_allclose(base.diagonal(), 0.7)
     assert abs(base.diagonal().mean() - 0.7) <= 0.05
 
 
-def adjacency(graph):
-    """Boolean adjacency over graph.edges, symmetric over edge direction, self loops excluded."""
-    adjacent = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
-    for src, dst, _ in graph.edges:
-        if src != dst:
-            adjacent[dst - 1, src - 1] = adjacent[src - 1, dst - 1] = True
-    return adjacent
-
-
 def test_base_zero_only_off_adjacency(default_graph):
-    base = sensor.build_confusion_base(default_graph)
-    adjacent = adjacency(default_graph)
+    base = scatter(default_graph)
+    adjacent = oracle.adjacency(default_graph)
     off_structure = ~adjacent & ~np.eye(105, dtype=bool)
     assert np.all(base[off_structure] == 0.0)
     assert np.all(base[adjacent] > 0.0)
 
 
 def test_base_off_diagonal_support_symmetric(default_graph):
-    support = sensor.build_confusion_base(default_graph) > 0.0
+    support = scatter(default_graph) > 0.0
     np.fill_diagonal(support, False)
     assert np.array_equal(support, support.T)
     assert support.any()
-
-
-def reference_confusion_base(graph):
-    """The per-column loop that build_confusion_base replaced, kept as its reference."""
-    m = graph.num_nodes
-    adjacent = adjacency(graph)
-    base = np.zeros((m, m))
-    for i in range(m):
-        neighbors = np.flatnonzero(adjacent[:, i])
-        if neighbors.size == 0:
-            base[i, i] = 1.0
-        else:
-            base[i, i] = 0.7
-            base[neighbors, i] = (1.0 - 0.7) / neighbors.size
-    return base
 
 
 @pytest.fixture
@@ -180,21 +170,26 @@ def isolated_graph():
     "graph_fixture", ["default_graph", "generated700_graph", "chain5_graph", "isolated_graph"]
 )
 def test_base_equals_per_column_reference(request, graph_fixture):
+    # the entries come sorted by column, then row, each (row, column) pair once,
+    # as column_entries and column_cdfs read them
     graph = request.getfixturevalue(graph_fixture)
-    assert np.array_equal(sensor.build_confusion_base(graph), reference_confusion_base(graph))
+    rows, columns, _ = sensor.confusion_entries(graph)
+    keys = columns * graph.num_nodes + rows
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(scatter(graph), oracle.reference_confusion_base(graph))
 
 
-# ---- apply_gaussian_noise ----
+# ---- the noise, through ObservationModel.dense ----
 
 
 def test_noise_single_state_stays_certain():
-    out = sensor.apply_gaussian_noise(np.array([[1.0]]), 1.0)
+    graph = roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),))
+    out = sensor.observation_model(graph, 1.0).dense()
     assert_allclose(out, [[1.0]], atol=1e-15)
 
 
 def test_noise_worked_five_node_column(chain5_graph):
-    base = sensor.build_confusion_base(chain5_graph)
-    out = sensor.apply_gaussian_noise(base, 1.0)
+    out = sensor.observation_model(chain5_graph, 1.0).dense()
     total = PHI_0_S1 + 2 * PHI_1_S1 + 2 * PHI_2_S1
     assert total == pytest.approx(0.990866, abs=1e-6)
     # frozen from (0.7 + phi(0)) / (1 + total)
@@ -204,21 +199,17 @@ def test_noise_worked_five_node_column(chain5_graph):
 
 
 def test_noise_columns_stochastic_for_random_bases():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(1, 12))
-        base = rng.random((m, m))
-        base /= base.sum(axis=0)
+    for seed in range(20):
+        graph = roadmap.generate_default_map(num_nodes=12 + seed, seed=seed)
         for sigma in (0.5, 1.0, 2.0):
-            out = sensor.apply_gaussian_noise(base.copy(), sigma)
+            out = sensor.observation_model(graph, sigma).dense()
             assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
-            assert np.all(out > 0.0)
 
 
-def test_noise_strictly_positive_within_float_range(default_base):
+def test_noise_strictly_positive_within_float_range(default_observation):
     # exp(-d^2/2) underflows float64 beyond index distance ~38, so strict
     # positivity can only be observed where the tail is representable
-    out = sensor.apply_gaussian_noise(default_base.copy(), 1.0)
+    out = default_observation
     assert out.min() >= 0.0
     m = out.shape[0]
     ids = np.arange(m)
@@ -228,21 +219,21 @@ def test_noise_strictly_positive_within_float_range(default_base):
 
 @pytest.mark.parametrize("sigma,zeros,first_zero_distance", [(1.0, 4282, 39), (2.0, 734, 78)])
 def test_noise_zeros_are_base_zeros_where_kernel_underflows(
-    default_base, sigma, zeros, first_zero_distance
+    default_graph, sigma, zeros, first_zero_distance
 ):
-    out = sensor.apply_gaussian_noise(default_base.copy(), sigma)
+    out = sensor.observation_model(default_graph, sigma).dense()
     ids = np.arange(1, out.shape[0] + 1)
     kernel = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
     distance = np.abs(ids[:, None] - ids[None, :])
     assert out.size == 11025
     assert np.count_nonzero(out == 0.0) == zeros
-    assert np.array_equal(out == 0.0, (default_base == 0.0) & (kernel == 0.0))
+    assert np.array_equal(out == 0.0, (scatter(default_graph) == 0.0) & (kernel == 0.0))
     assert distance[kernel == 0.0].min() == first_zero_distance
     assert np.all(kernel[distance < first_zero_distance] > 0.0)
 
 
-def test_noise_smallest_positive_entry_is_subnormal(default_base):
-    out = sensor.apply_gaussian_noise(default_base.copy(), 1.0)
+def test_noise_smallest_positive_entry_is_subnormal(default_observation):
+    out = default_observation
     smallest = out[out > 0.0].min()
     assert smallest < np.finfo(float).tiny
     assert smallest == pytest.approx(5.5e-315, rel=0.01)
@@ -252,31 +243,22 @@ def test_noise_minimum_entries_grow_with_sigma():
     # holds while sigma stays below the index distances that carry each
     # column's minimum (the density at distance d grows with sigma only for
     # sigma < d), so test at M = 30 where minima sit deep in the tail
-    rng = np.random.default_rng(8)
-    base = rng.random((30, 30))
-    base /= base.sum(axis=0)
-    previous = sensor.apply_gaussian_noise(base.copy(), 1.0)
-    for sigma in (2.0, 3.0):
-        current = sensor.apply_gaussian_noise(base.copy(), sigma)
-        assert np.all(current.min(axis=0) > previous.min(axis=0))
-        previous = current
+    for seed in range(20):
+        graph = roadmap.generate_default_map(num_nodes=30, seed=seed)
+        previous = sensor.observation_model(graph, 1.0).dense()
+        for sigma in (2.0, 3.0):
+            current = sensor.observation_model(graph, sigma).dense()
+            assert np.all(current.min(axis=0) > previous.min(axis=0)), (seed, sigma)
+            previous = current
 
 
-def test_noise_tiny_sigma_sharpens_to_diagonal(default_base):
+def test_noise_tiny_sigma_sharpens_to_diagonal(default_graph):
     # As sigma -> 0 the density at zero distance diverges, so each column
     # collapses onto its own state rather than back onto the base.
-    out = sensor.apply_gaussian_noise(default_base.copy(), 1e-6)
+    out = sensor.observation_model(default_graph, 1e-6).dense()
     assert out.diagonal().min() >= 1.0 - 1e-4
     off = out - np.diag(out.diagonal())
     assert off.max() <= 1e-4
-
-
-def reference_noise(base, sigma):
-    """The dense M x M distance-grid build that apply_gaussian_noise replaced, kept as its reference."""
-    base = np.asarray(base, dtype=float)
-    ids = np.arange(1, base.shape[0] + 1)
-    g = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
-    return (base + g) / (1.0 + g.sum(axis=0))
 
 
 @pytest.fixture(scope="module")
@@ -291,44 +273,38 @@ def reference_graphs():
 
 @pytest.mark.parametrize("name", ["default", "generated700", "generated12", "single"])
 def test_noise_bytes_equal_dense_reference(reference_graphs, name):
-    base = sensor.build_confusion_base(reference_graphs[name])
+    graph = reference_graphs[name]
+    base = oracle.reference_confusion_base(graph)
+    backwards = np.arange(graph.num_nodes)[::-1]
     for sigma in (0.5, 1.0, 2.0, 37.0, 1e-6, 1e4, 1e150, 1e-160):
-        out = sensor.apply_gaussian_noise(base.copy(), sigma)
-        expected = reference_noise(base, sigma)
+        expected = oracle.reference_noise(base, sigma)
+        model = sensor.observation_model(graph, sigma)
+        out = model.dense()
         assert out.shape == expected.shape and out.dtype == expected.dtype
-        assert out.tobytes() == expected.tobytes(), sigma
+        assert np.array_equal(bits(out), bits(expected)), sigma
+        table, index = model.likelihood_table(backwards)
+        assert np.array_equal(bits(table[index]), bits(expected[backwards])), sigma
+        ids, cdf = experiment.column_cdfs(model)
+        expected_ids, expected_cdf = experiment.column_cdfs(expected)
+        assert np.array_equal(ids, expected_ids), sigma
+        assert np.array_equal(bits(cdf), bits(expected_cdf)), sigma
 
 
 def test_noise_peak_memory_is_one_matrix(reference_graphs):
-    base = sensor.build_confusion_base(reference_graphs["generated700"])
+    # export-matrices builds the dense form only to write it: the matrix, and
+    # vectors of M values besides
+    model = sensor.observation_model(reference_graphs["generated700"], 1.0)
     tracemalloc.start()
     try:
-        out = sensor.apply_gaussian_noise(base, 1.0)
+        out = model.dense()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * base.nbytes
-    # the result is written into the base: only vectors of M values, the
-    # kernel and the column totals, are allocated
-    assert out is base
-    assert peak < 0.1 * base.nbytes
-
-
-def test_noise_copies_a_fortran_base_and_rejects_a_read_only_one(default_base):
-    fortran = np.asfortranarray(default_base)
-    out = sensor.apply_gaussian_noise(fortran, 1.0)
-    assert out is not fortran and np.array_equal(fortran, default_base)
-    assert out.tobytes() == sensor.apply_gaussian_noise(default_base.copy(), 1.0).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        sensor.apply_gaussian_noise(default_base, 1.0)
+    assert out.shape == (700, 700)
+    assert peak <= 1.1 * out.nbytes
 
 
 # ---- ObservationModel ----
-
-
-def bits(array):
-    """The raw 64-bit patterns of a float array, so -0.0 and 0.0 or two NaNs are told apart."""
-    return np.ascontiguousarray(array).view(np.uint64)
 
 
 # sigma 0.05: the band is 3 wide; 0.7: the kernel's last nonzero value is the
@@ -349,8 +325,7 @@ def model_graphs(reference_graphs, far_graph):
 @pytest.mark.parametrize("name, sigma", MODEL_CASES, ids=[f"{n}-{s:g}" for n, s in MODEL_CASES])
 def test_observation_model_reads_equal_the_dense_build_bit_for_bit(model_graphs, name, sigma):
     graph = model_graphs[name]
-    dense = sensor.apply_gaussian_noise(sensor.build_confusion_base(graph), sigma)
-    assert np.array_equal(bits(dense), bits(reference_noise(sensor.build_confusion_base(graph), sigma)))
+    dense = oracle.reference_noise(oracle.reference_confusion_base(graph), sigma)
     model = sensor.observation_model(graph, sigma)
     m = graph.num_nodes
     assert model.shape == np.shape(model) == dense.shape
