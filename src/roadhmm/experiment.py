@@ -73,48 +73,40 @@ def inverse_cdf_sample(cdf, u):
     return (cdf <= np.minimum(u, np.nextafter(cdf[-1], 0.0))).sum(axis=0) + 1
 
 
-def column_cdfs(matrix):
+def column_cdfs(num_nodes: int, width: int, groups):
     """(ids, cdf), both (M, K) with K the most nonzeros in any column.
 
-    Row i holds column i's nonzero node ids in ascending order, padded with
-    0, and the running sum of their values, padded with the column total.
-    Adding 0.0 leaves a running sum unchanged, so ``cdf[i]`` equals the dense
+    ``groups`` yields a column-stochastic matrix's nonzeros as (rows, columns,
+    values), 0-based, each group sorted by column, then row, and a column's
+    groups in row order; ``width`` bounds any column's count of them. Row i
+    holds column i's nonzero node ids in ascending order, padded with 0, and
+    the running sum of their values, padded with the column total. Adding 0.0
+    leaves a running sum unchanged, so ``cdf[i]`` equals the dense
     ``np.cumsum(matrix, axis=0)[ids[i] - 1, i]`` bit for bit, padding included.
-
-    ``matrix`` is a dense array, scanned a block of rows at a time, or a
-    ``sensor.ObservationModel``, read a block of columns at a time through its
-    band.
     """
-    if isinstance(matrix, sensor.ObservationModel):
-        width, groups = matrix.column_entries()
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        width, groups = int(np.count_nonzero(matrix, axis=0).max()), _row_blocks(matrix)
-    n = matrix.shape[1]
-    ids = np.zeros((n, width), dtype=np.int64)
+    ids = np.zeros((num_nodes, width), dtype=np.int64)
     cdf = np.zeros(ids.shape)
-    filled = np.zeros(n, dtype=np.intp)  # nonzeros placed so far, per column
-    # each group is sorted by column, then row, and a column's groups come in row order
+    filled = np.zeros(num_nodes, dtype=np.intp)  # nonzeros placed so far, per column
     for rows, columns, values in groups:
         positions = filled[columns] + np.arange(columns.size) - np.searchsorted(columns, columns)
         ids[columns, positions] = rows + 1
         cdf[columns, positions] = values
-        filled += np.bincount(columns, minlength=n)
-    width = int(filled.max())  # width only bounds the count for an ObservationModel
+        filled += np.bincount(columns, minlength=num_nodes)
+    width = int(filled.max())  # the width was a bound
     return ids[:, :width], np.cumsum(cdf[:, :width], axis=1, out=cdf[:, :width])
 
 
-def _row_blocks(matrix):
-    """A dense matrix's nonzeros a block of rows at a time, so its index arrays stay small."""
-    n = matrix.shape[1]
-    chunk = max(1, _BATCH_BYTES // (8 * n))
-    for start in range(0, matrix.shape[0], chunk):
-        block = matrix[start:start + chunk].reshape(-1)
-        hits = np.flatnonzero(block != 0)
-        # regroup by column; the stable sort keeps each column's rows ascending
-        hits = hits[np.argsort(hits % n, kind="stable")]
-        rows, columns = np.divmod(hits, n)
-        yield start + rows, columns, block[hits]
+def transition_table(graph: roadmap.RoadGraph):
+    """The transition's ``column_cdfs``, from its nonzero entries."""
+    rows, columns, values = roadmap.transition_entries(graph)
+    nonzero = values != 0  # a zero-weight edge's entry is no entry of the table
+    group = rows[nonzero], columns[nonzero], values[nonzero]
+    return column_cdfs(graph.num_nodes, int(np.bincount(group[1]).max()), [group])
+
+
+def sampling_tables(graph: roadmap.RoadGraph, observation: sensor.ObservationModel):
+    """``sample_trajectory``'s tables: the ``column_cdfs`` of the transition and observation."""
+    return transition_table(graph), column_cdfs(graph.num_nodes, *observation.column_entries())
 
 
 def _draw(column_cdf, x, u):
@@ -124,27 +116,24 @@ def _draw(column_cdf, x, u):
     return ids[rows, inverse_cdf_sample(cdf[rows].T, u) - 1]
 
 
-def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None):
+def sample_trajectory(transition_cdfs, observation_cdfs, initial_state: int, steps: int, seed):
     """Simulate a true path and its measurements by inverse-CDF sampling.
 
-    Each step draws the next state from column x_{k-1} of the transition
-    matrix, then the measurement from column x_k of the observation matrix,
-    consuming one uniform per draw in that order. A trial's 2T uniforms come
-    from one ``default_rng(seed).random(2 * steps)`` call, the same stream as
-    2T single draws.
+    The two tables are the ``column_cdfs`` of the transition and observation,
+    as ``sampling_tables`` builds them. Each step draws the next state from
+    column x_{k-1} of the transition, then the measurement from column x_k of
+    the observation, consuming one uniform per draw in that order; the draws
+    equal those from the dense ``np.cumsum(matrix, axis=0)`` columns. A
+    trial's 2T uniforms come from one ``default_rng(seed).random(2 * steps)``
+    call, the same stream as 2T single draws.
 
     Returns (true_states, measurements), int arrays of node ids: (steps,)
     for one ``seed``, (steps, N) with one column per seed for a sequence of N
-    seeds. ``cdfs`` is ``(column_cdfs(A), column_cdfs(obs))`` for a caller
-    that samples many batches; the draws equal those from the dense
-    ``np.cumsum(matrix, axis=0)`` columns.
+    seeds.
     """
-    inference.point_mass_belief(np.shape(A)[0], initial_state)  # raises on a bad initial state
+    inference.point_mass_belief(len(transition_cdfs[0]), initial_state)  # checks the initial state
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if cdfs is None:
-        cdfs = (column_cdfs(A), column_cdfs(obs))
-    transition_cdf, observation_cdf = cdfs
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     uniforms = np.array([np.random.default_rng(s).random(2 * steps) for s in seeds])
@@ -153,8 +142,8 @@ def sample_trajectory(A, obs, initial_state: int, steps: int, seed, *, cdfs=None
     measurements = np.empty_like(states)
     x = np.full(len(seeds), int(initial_state))
     for k in range(steps):
-        x = states[k] = _draw(transition_cdf, x, uniforms[k, 0])
-        measurements[k] = _draw(observation_cdf, x, uniforms[k, 1])
+        x = states[k] = _draw(transition_cdfs, x, uniforms[k, 0])
+        measurements[k] = _draw(observation_cdfs, x, uniforms[k, 1])
     return (states[:, 0], measurements[:, 0]) if single else (states, measurements)
 
 
@@ -206,7 +195,8 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     and the smoothing product are skipped and ``smoother_estimates`` is None.
     At the first ``next`` the map is read, sigma, the initial state, steps
     and trials are checked in that order, and only then does one
-    ``build_model`` call build the M x M matrices.
+    ``build_model`` call build the model, whose one M x M array is the
+    transition matrix.
     """
     graph = read_graph(config.map_source)
     sensor.gaussian_kernel(0, 0, config.sigma)  # raises on a bad sigma
@@ -216,14 +206,12 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     transition, observation = build_model(graph, config.sigma)
-    cdfs = (column_cdfs(transition), column_cdfs(observation))
+    tables = sampling_tables(graph, observation)
     width = batch_width(config.steps, graph.num_nodes)
     for start in range(0, config.trials, width):
         batch = slice(start, start + width)
         seeds = [trial_seed(config.master_seed, t) for t in range(config.trials)[batch]]
-        x, y = sample_trajectory(
-            transition, observation, config.initial_state, config.steps, seeds, cdfs=cdfs
-        )
+        x, y = sample_trajectory(*tables, config.initial_state, config.steps, seeds)
         smoothed = None
         try:
             forward = inference.forward_pass(transition, observation, y, prior)

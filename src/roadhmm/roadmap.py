@@ -2,12 +2,13 @@
 
 Positions are integer node ids 1..M. Directed edges carry unnormalized
 nonnegative weights; a self loop (src == dst) models stopping/parking at
-that position. ``build_transition_matrix`` normalizes each node's outgoing
-weights into a column-stochastic matrix A with
+that position. ``transition_entries`` normalizes each node's outgoing
+weights into the edges' entries of a column-stochastic matrix A with
 
-    A[i - 1, j - 1] = P(next = i | current = j)
+    A[i - 1, j - 1] = P(next = i | current = j),
 
-so ``A @ belief`` is one prediction step. The map is directional:
+which ``build_transition_matrix`` places in the dense A: ``A @ belief`` is
+one prediction step. The map is directional:
 the weight of (j -> i) is independent of the weight of (i -> j).
 """
 
@@ -151,28 +152,35 @@ def save_map(graph: RoadGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def build_transition_matrix(graph: RoadGraph) -> np.ndarray:
-    """Column-stochastic transition matrix from outgoing edge weights.
+def transition_entries(graph: RoadGraph):
+    """The transition's entry of every edge: (rows, columns, values), 0-based.
 
-    Entry [i-1, j-1] = weight(j -> i) / total outgoing weight of j, so each
-    column sums to 1 and is zero exactly where no (j -> i) edge exists.
-    Raises MapError if a positive weight would get probability 0: its node's
-    total overflows, or the weight is lost to rounding against it.
+    Rows are destinations and columns sources, sorted by column, then row;
+    value = weight(j -> i) / total outgoing weight of j, so a zero-weight edge
+    keeps its signed zero. The totals add each column's weights in row order,
+    as a dense column sum does. Raises MapError if a positive weight would get
+    probability 0: its node's total overflows, or the weight is lost to
+    rounding against it.
     """
     src, dst, weight = (np.array(column) for column in zip(*graph.edges))
-    # normalized in place: the build holds one M x M array
-    matrix = np.zeros((graph.num_nodes, graph.num_nodes))
-    matrix[dst - 1, src - 1] = weight
-    with np.errstate(over="ignore"):
-        totals = matrix.sum(axis=0)
-    matrix /= totals
-    lost = np.flatnonzero((weight > 0) & (matrix[dst - 1, src - 1] == 0))
+    order = np.lexsort((dst, src))
+    totals = np.bincount(src[order] - 1, weights=weight[order], minlength=graph.num_nodes)
+    values = weight / totals[src - 1]
+    lost = np.flatnonzero((weight > 0) & (values == 0))
     if lost.size:
         k = lost[0]
         raise MapError(
             f"weight {weight[k]} on edge ({src[k]}, {dst[k]}) rounds to probability 0 "
             f"against node {src[k]}'s total outgoing weight {totals[src[k] - 1]}"
         )
+    return dst[order] - 1, src[order] - 1, values[order]
+
+
+def build_transition_matrix(graph: RoadGraph) -> np.ndarray:
+    """The column-stochastic M x M transition matrix: ``transition_entries`` in zeros."""
+    rows, columns, values = transition_entries(graph)
+    matrix = np.zeros((graph.num_nodes, graph.num_nodes))
+    matrix[rows, columns] = values
     return matrix
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roadhmm import roadmap, sensor
+from roadhmm import experiment, roadmap, sensor
 
 
 def make_random_instance(rng, num_states, num_steps):
@@ -70,3 +70,10 @@ def default_transition(default_graph):
 @pytest.fixture(scope="session")
 def default_observation(default_graph):
     return read_only(sensor.observation_model(default_graph, 1.0).dense())
+
+
+@pytest.fixture(scope="session")
+def default_tables(default_graph):
+    """``sample_trajectory``'s tables of the default model at sigma 1."""
+    tables = experiment.sampling_tables(default_graph, sensor.observation_model(default_graph, 1.0))
+    return tuple(tuple(read_only(part) for part in table) for table in tables)

@@ -7,14 +7,17 @@ guarded by a path budget. ``log_domain_smoother`` runs the unscaled
 recursions in log space, so no message underflows at any length.
 ``reference_noise(reference_confusion_base(graph), sigma)`` is the dense
 M x M observation matrix, built with a per-column loop and a full distance
-grid, independently of ``sensor.ObservationModel``.
+grid, independently of ``sensor.ObservationModel``, and
+``reference_transition(graph)`` the dense transition matrix, built without
+its edge entries. ``sampling_table(matrix)`` gives a dense matrix's sampling
+table, for the tests that sample from a hand-built model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from roadhmm import sensor
+from roadhmm import experiment, sensor
 
 DEFAULT_MAX_PATHS = 10_000_000
 _CHUNK = 1 << 18
@@ -132,3 +135,21 @@ def reference_noise(base, sigma):
     ids = np.arange(1, base.shape[0] + 1)
     g = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
     return (base + g) / (1.0 + g.sum(axis=0))
+
+
+def reference_transition(graph):
+    """The two-array build that build_transition_matrix replaced: weights in an
+    M x M array, divided by its column sums."""
+    src, dst, weight = (np.array(column) for column in zip(*graph.edges))
+    weights = np.zeros((graph.num_nodes, graph.num_nodes))
+    weights[dst - 1, src - 1] = weight
+    return weights / weights.sum(axis=0)
+
+
+def sampling_table(matrix):
+    """``experiment.column_cdfs`` of a dense column-stochastic matrix, from its
+    nonzeros; ``nonzero`` of the transpose sorts them by column, then row."""
+    matrix = np.asarray(matrix, dtype=float)
+    columns, rows = np.nonzero(matrix.T)
+    width = int(np.bincount(columns).max())
+    return experiment.column_cdfs(matrix.shape[1], width, [(rows, columns, matrix[rows, columns])])

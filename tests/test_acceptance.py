@@ -137,11 +137,12 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
     for config, *_ in rows:
         graph = experiment.read_graph(config.map_source)
         transition, observation = experiment.build_model(graph, config.sigma)
+        tables = experiment.sampling_tables(graph, observation)
         prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
         for trial in range(config.trials):
             seed = experiment.trial_seed(config.master_seed, trial)
             _, measurements = experiment.sample_trajectory(
-                transition, observation, config.initial_state, config.steps, seed
+                *tables, config.initial_state, config.steps, seed
             )
             result = inference.run_smoother(transition, observation, measurements, prior)
             assert np.abs(result.smoothed[-1] - result.filtered[-1]).max() <= 1e-12
@@ -160,8 +161,10 @@ def test_criterion_5_stochasticity_and_stability():
         observation = sensor.observation_model(graph, sigma).dense()
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
-    observation = sensor.observation_model(graph, 1.0).dense()
-    _, measurements = experiment.sample_trajectory(transition, observation, 5, 10_000, seed=12345)
+    model = sensor.observation_model(graph, 1.0)
+    tables = experiment.sampling_tables(graph, model)
+    observation = model.dense()
+    _, measurements = experiment.sample_trajectory(*tables, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
     result = inference.run_smoother(transition, observation, measurements, prior)
     assert np.isfinite(result.filtered).all()

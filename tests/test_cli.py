@@ -69,15 +69,46 @@ def test_validate_map_prints_its_full_report(default_map_path, capsys):
     )
 
 
+#: A -0.0 weight on 1 -> 2 and a 0 weight on 2 -> 2: two edges of probability 0
+SIGNED_ZERO_MAP = {
+    "num_nodes": 2,
+    "edges": [
+        {"from": 1, "to": 1, "weight": 1.0},
+        {"from": 1, "to": 2, "weight": -0.0},
+        {"from": 2, "to": 1, "weight": 1.0},
+        {"from": 2, "to": 2, "weight": 0},
+    ],
+}
+
+
+def test_zero_weight_edges_keep_their_signed_zeros_and_stay_out_of_the_tables(tmp_path, capsys):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(SIGNED_ZERO_MAP))
+    assert main(["validate-map", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "2 nodes, 4 edges\n"
+        "max column-sum deviation: 0.000e+00\n"
+        "zero pattern: 2 positive entries match 2 positive-weight edges\n"
+        "2 nodes, columns stochastic\n"
+    )
+    prefix = tmp_path / "signed"
+    assert main(["export-matrices", "--map", str(path), "--out-prefix", str(prefix)]) == 0
+    assert (tmp_path / "signed_transition.csv").read_bytes() == b"1.0,1.0\n-0.0,0.0\n"
+    # each column's one positive entry, node 1; the sampler never sees the zeros
+    graph = roadmap.read_map(str(path))
+    (ids, cdf), _ = experiment.sampling_tables(graph, experiment.build_model(graph, 1.0)[1])
+    assert ids.tolist() == [[1], [1]] and cdf.tolist() == [[1.0], [1.0]]
+
+
 def test_validate_map_reports_column_that_is_not_stochastic(small_map_path, capsys, monkeypatch):
-    build = roadmap.build_transition_matrix
+    entries = roadmap.transition_entries
 
     def off_by_a_tenth(graph):
-        matrix = build(graph)
-        matrix[:, 2] *= 0.9
-        return matrix
+        rows, columns, values = entries(graph)
+        values[columns == 2] *= 0.9
+        return rows, columns, values
 
-    monkeypatch.setattr(roadmap, "build_transition_matrix", off_by_a_tenth)
+    monkeypatch.setattr(roadmap, "transition_entries", off_by_a_tenth)
     assert main(["validate-map", small_map_path]) == 1
     out = capsys.readouterr().out
     assert "max column-sum deviation: 1.000e-01\n" in out
@@ -941,7 +972,7 @@ def out_of_memory(*args, **kwargs):
 def test_out_of_memory_exits_1_with_message(tmp_path, small_map_path, capsys, monkeypatch, command):
     out = tmp_path / "x.csv"
     if command == "validate-map":
-        monkeypatch.setattr(roadmap, "build_transition_matrix", out_of_memory)
+        monkeypatch.setattr(roadmap, "transition_entries", out_of_memory)
         args = ["validate-map", small_map_path]
     else:
         monkeypatch.setattr(experiment, "simulate_trials", out_of_memory)

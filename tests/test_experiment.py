@@ -102,15 +102,9 @@ def test_single_values_are_numpy_scalars():
 # ---- column_cdfs ----
 
 
-def generated_model(sigma, num_nodes=700, seed=5):
-    graph = roadmap.generate_default_map(num_nodes=num_nodes, seed=seed)
-    observation = sensor.observation_model(graph, sigma).dense()
-    return roadmap.build_transition_matrix(graph), observation
-
-
-def assert_column_cdfs_match_dense(matrix):
+def assert_column_cdfs_match_dense(table, matrix):
     """Each row is the dense cumsum at the column's nonzeros, padded with the column total."""
-    ids, cdf = experiment.column_cdfs(matrix)
+    ids, cdf = table
     dense = np.cumsum(matrix, axis=0)
     counts = np.count_nonzero(matrix, axis=0)
     assert ids.shape == cdf.shape == (matrix.shape[1], counts.max())
@@ -128,46 +122,60 @@ def assert_column_cdfs_match_dense(matrix):
     assert np.array_equal(drawn, experiment.inverse_cdf_sample(dense, u))
 
 
+def assert_tables_match_dense(graph, sigma, observation=True):
+    """``sampling_tables`` and the oracle's tables of the dense matrices all match the
+    dense cumsum, and the two transition tables are the same bits."""
+    transition = roadmap.build_transition_matrix(graph)
+    model = sensor.observation_model(graph, sigma)
+    transition_table, observation_table = experiment.sampling_tables(graph, model)
+    assert_column_cdfs_match_dense(transition_table, transition)
+    assert_same_cdfs(transition_table, oracle.sampling_table(transition))
+    if observation:
+        dense = model.dense()
+        assert_column_cdfs_match_dense(observation_table, dense)
+        assert_column_cdfs_match_dense(oracle.sampling_table(dense), dense)
+
+
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 def test_column_cdfs_match_dense_cumsum_on_default_model(sigma):
-    transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
-    assert_column_cdfs_match_dense(transition)
-    assert_column_cdfs_match_dense(observation.dense())
+    assert_tables_match_dense(experiment.read_graph("default"), sigma)
 
 
 def test_column_cdfs_match_dense_cumsum_on_generated_map():
-    for matrix in generated_model(1.0):
-        assert_column_cdfs_match_dense(matrix)
+    assert_tables_match_dense(roadmap.generate_default_map(num_nodes=700, seed=5), 1.0)
 
 
-def test_column_cdfs_of_dense_columns_hold_little_beyond_their_output():
-    # at sigma 1e4 every observation column is nonzero, so K = M and the two
-    # outputs take 2 M x M; the index arrays are built a chunk of columns at a time
-    num_nodes = 1500
-    _, observation = generated_model(1e4, num_nodes=num_nodes, seed=0)
-    assert np.count_nonzero(observation) == num_nodes**2
-    peak = traced_peak(lambda: experiment.column_cdfs(observation))
-    assert peak <= 3 * observation.nbytes
+def test_column_cdfs_match_dense_cumsum_on_the_3000_node_transition():
+    # the bench map; its dense observation matrix, 72 MB, is left out
+    assert_tables_match_dense(roadmap.generate_default_map(num_nodes=3000, seed=0), 1.0, False)
+
+
+def test_transition_tables_hold_little_beyond_their_output():
+    # 12 017 edges at M = 3000: the tables are 3000 x 10 and the build's peak
+    # measured 1.3 MiB, against 68.7 MiB for the dense matrix
+    graph = roadmap.generate_default_map(num_nodes=3000, seed=0)
+    peak = traced_peak(lambda: experiment.transition_table(graph))
+    assert peak <= 2 << 20
 
 
 def test_column_cdfs_of_identity_have_width_one():
-    ids, cdf = experiment.column_cdfs(np.eye(3))
+    ids, cdf = oracle.sampling_table(np.eye(3))
     assert ids.tolist() == [[1], [2], [3]] and cdf.tolist() == [[1.0]] * 3
-    assert_column_cdfs_match_dense(np.eye(3))
+    assert_column_cdfs_match_dense((ids, cdf), np.eye(3))
 
 
 def test_column_cdfs_keep_an_entry_the_running_sum_absorbs():
     matrix = np.array([[0.5, 1.0], [1e-300, 0.0], [0.5, 0.0]])
-    ids, cdf = experiment.column_cdfs(matrix)
+    ids, cdf = oracle.sampling_table(matrix)
     assert ids.tolist() == [[1, 2, 3], [1, 0, 0]]
     assert cdf.tolist() == [[0.5, 0.5, 1.0], [1.0, 1.0, 1.0]]
-    assert_column_cdfs_match_dense(matrix)
+    assert_column_cdfs_match_dense((ids, cdf), matrix)
 
 
 def test_column_cdfs_draw_below_a_rounded_down_total():
     matrix = np.array([[0.5, 1.0], [0.4999999999999998, 0.0], [0.0, 0.0]])
-    assert_column_cdfs_match_dense(matrix)
-    ids, cdf = experiment.column_cdfs(matrix)
+    ids, cdf = oracle.sampling_table(matrix)
+    assert_column_cdfs_match_dense((ids, cdf), matrix)
     largest = 1.0 - 2.0**-53
     dense = experiment.inverse_cdf_sample(np.cumsum(matrix[:, 0]), largest)
     assert ids[0, experiment.inverse_cdf_sample(cdf[0], largest) - 1] == dense == 2
@@ -201,49 +209,48 @@ def test_column_cdfs_of_an_observation_model_equal_the_dense_scan(
         monkeypatch.setattr(sensor, "_BLOCK_CELLS", block_cells)
     graph = cdf_graphs[name]
     dense = oracle.reference_noise(oracle.reference_confusion_base(graph), sigma)
-    expected = experiment.column_cdfs(dense)
-    assert_same_cdfs(experiment.column_cdfs(sensor.observation_model(graph, sigma)), expected)
-    assert_column_cdfs_match_dense(dense)
+    expected = oracle.sampling_table(dense)
+    model = sensor.observation_model(graph, sigma)
+    assert_same_cdfs(experiment.column_cdfs(graph.num_nodes, *model.column_entries()), expected)
+    assert_column_cdfs_match_dense(expected, dense)
 
 
 def test_column_cdfs_of_an_observation_model_hold_little_beyond_their_output():
     # at sigma 1e4 every column is nonzero, so K = M and the two outputs take 2 M x M
     num_nodes = 1500
     model = sensor.observation_model(roadmap.generate_default_map(num_nodes=num_nodes, seed=0), 1e4)
-    peak = traced_peak(lambda: experiment.column_cdfs(model))
+    peak = traced_peak(lambda: experiment.column_cdfs(num_nodes, *model.column_entries()))
     assert peak <= 2.25 * num_nodes**2 * 8
 
 
 # ---- sample_trajectory ----
 
 
-def test_sample_trajectory_deterministic(default_transition, default_observation):
-    a = experiment.sample_trajectory(default_transition, default_observation, 5, 50, seed=99)
-    b = experiment.sample_trajectory(default_transition, default_observation, 5, 50, seed=99)
+def test_sample_trajectory_deterministic(default_tables):
+    a = experiment.sample_trajectory(*default_tables, 5, 50, seed=99)
+    b = experiment.sample_trajectory(*default_tables, 5, 50, seed=99)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_sample_trajectory_starts_at_initial_state(default_transition, default_observation):
+def test_sample_trajectory_starts_at_initial_state(default_transition, default_tables):
     for initial in (5, 90):
-        states, measurements = experiment.sample_trajectory(
-            default_transition, default_observation, initial, 10, seed=1
-        )
+        states, measurements = experiment.sample_trajectory(*default_tables, initial, 10, seed=1)
         assert states.shape == measurements.shape == (10,)
         assert default_transition[states[0] - 1, initial - 1] > 0.0
 
 
-def test_single_seed_is_column_zero_of_a_batch(default_transition, default_observation):
-    single = experiment.sample_trajectory(default_transition, default_observation, 90, 40, 17)
-    batch = experiment.sample_trajectory(default_transition, default_observation, 90, 40, [17])
+def test_single_seed_is_column_zero_of_a_batch(default_tables):
+    single = experiment.sample_trajectory(*default_tables, 90, 40, 17)
+    batch = experiment.sample_trajectory(*default_tables, 90, 40, [17])
     for one, many in zip(single, batch, strict=True):
         assert one.shape == (40,)
         assert np.array_equal(one, many[:, 0])
 
 
-def test_sampled_pairs_have_positive_probability(default_transition, default_observation):
-    states, measurements = experiment.sample_trajectory(
-        default_transition, default_observation, 5, 200, seed=3
-    )
+def test_sampled_pairs_have_positive_probability(
+    default_transition, default_observation, default_tables
+):
+    states, measurements = experiment.sample_trajectory(*default_tables, 5, 200, seed=3)
     previous = 5
     for state, measurement in zip(states, measurements):
         assert default_transition[state - 1, previous - 1] > 0.0
@@ -275,15 +282,15 @@ def scalar_reference_sample(A, obs, initial_state, steps, seed):
     return tuple(states), tuple(measurements)
 
 
-def test_sample_trajectory_matches_scalar_draws(default_transition, default_observation):
+def test_sample_trajectory_matches_scalar_draws(
+    default_transition, default_observation, default_tables
+):
     seeds = [experiment.trial_seed(3, t) for t in range(6)]
-    states, measurements = experiment.sample_trajectory(
-        default_transition, default_observation, 90, 60, seeds
-    )
+    states, measurements = experiment.sample_trajectory(*default_tables, 90, 60, seeds)
     assert states.shape == measurements.shape == (60, 6)
     for i, seed in enumerate(seeds):
         reference = scalar_reference_sample(default_transition, default_observation, 90, 60, seed)
-        single = experiment.sample_trajectory(default_transition, default_observation, 90, 60, seed)
+        single = experiment.sample_trajectory(*default_tables, 90, 60, seed)
         assert tuple(tuple(c.tolist()) for c in single) == reference
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
 
@@ -291,26 +298,27 @@ def test_sample_trajectory_matches_scalar_draws(default_transition, default_obse
 @pytest.mark.parametrize("model", ["generated700-sigma1", "default-sigma2"])
 def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
     if model == "generated700-sigma1":
-        transition, observation = generated_model(1.0)
+        graph, sigma = roadmap.generate_default_map(num_nodes=700, seed=5), 1.0
     else:
-        transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
+        graph, sigma = experiment.read_graph("default"), 2.0
+    transition, observation = experiment.build_model(graph, sigma)
+    tables = experiment.sampling_tables(graph, observation)
     seeds = [experiment.trial_seed(8, t) for t in range(6)]
-    states, measurements = experiment.sample_trajectory(transition, observation, 5, 60, seeds)
-    if isinstance(observation, sensor.ObservationModel):
-        observation = observation.dense()
+    states, measurements = experiment.sample_trajectory(*tables, 5, 60, seeds)
+    observation = observation.dense()
     for i, seed in enumerate(seeds):
         reference = scalar_reference_sample(transition, observation, 5, 60, seed)
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
 
 
-def test_sample_trajectory_rejects_bad_initial(default_transition, default_observation):
+def test_sample_trajectory_rejects_bad_initial(default_tables):
     with pytest.raises(ValueError, match="out of range"):
-        experiment.sample_trajectory(default_transition, default_observation, 0, 5, seed=1)
+        experiment.sample_trajectory(*default_tables, 0, 5, seed=1)
 
 
-def test_sample_trajectory_rejects_negative_steps(default_transition, default_observation):
+def test_sample_trajectory_rejects_negative_steps(default_tables):
     with pytest.raises(ValueError, match="^steps must be nonnegative$"):
-        experiment.sample_trajectory(default_transition, default_observation, 5, -1, seed=1)
+        experiment.sample_trajectory(*default_tables, 5, -1, seed=1)
 
 
 # ---- accuracy ----
@@ -381,14 +389,15 @@ def test_run_experiment_rejects_bad_config():
         experiment.run_experiment(ExperimentConfig(initial_state=5, sigma=1.0, trials=0))
 
 
-def test_perfect_sensor_filter_is_always_right(default_transition):
+def test_perfect_sensor_filter_is_always_right(default_transition, default_tables):
     from roadhmm import inference
 
     identity = np.eye(105)
+    tables = default_tables[0], oracle.sampling_table(identity)
     prior = inference.point_mass_belief(105, 5)
     for trial in range(3):
         states, measurements = experiment.sample_trajectory(
-            default_transition, identity, 5, 30, experiment.trial_seed(0, trial)
+            *tables, 5, 30, experiment.trial_seed(0, trial)
         )
         result = inference.run_smoother(default_transition, identity, measurements, prior)
         estimates = tuple(inference.map_estimate(b) for b in result.filtered)
@@ -402,11 +411,12 @@ def per_trial_reference(config):
     """sample_trajectory + run_smoother + map_estimate, one trial at a time."""
     graph = experiment.read_graph(config.map_source)
     transition, observation = experiment.build_model(graph, config.sigma)
+    tables = experiment.sampling_tables(graph, observation)
     prior = inference.point_mass_belief(transition.shape[0], config.initial_state)
     rows = []
     for trial in range(config.trials):
         states, measurements = experiment.sample_trajectory(
-            transition, observation, config.initial_state, config.steps,
+            *tables, config.initial_state, config.steps,
             experiment.trial_seed(config.master_seed, trial),
         )
         result = inference.run_smoother(transition, observation, measurements, prior)
@@ -679,9 +689,9 @@ def test_every_command_builds_each_model_once_through_build_model(
     assert len(built) == builds
 
 
-def test_infer_both_holds_two_belief_arrays(tmp_path, default_transition, default_observation):
+def test_infer_both_holds_two_belief_arrays(tmp_path, default_tables):
     steps = 3000
-    _, measured = experiment.sample_trajectory(default_transition, default_observation, 5, steps, 1)
+    _, measured = experiment.sample_trajectory(*default_tables, 5, steps, 1)
     path = tmp_path / "measurements.txt"
     path.write_text("".join(f"{y}\n" for y in measured))
     args = ["infer", "--measurements", str(path), "--init-state", "5", "--method", "both",
@@ -730,13 +740,11 @@ def calibration_gaps(transition, observation, sampler_observation):
     mean(d) / (sd(d) / sqrt(n)). Drives run 250 at a time to bound memory.
     """
     prior = inference.point_mass_belief(transition.shape[0], 5)
-    cdfs = (experiment.column_cdfs(transition), experiment.column_cdfs(sampler_observation))
+    tables = oracle.sampling_table(transition), oracle.sampling_table(sampler_observation)
     differences = ([], [])
     for start in range(0, 2000, 250):
         seeds = [experiment.trial_seed(0, t) for t in range(start, start + 250)]
-        states, measured = experiment.sample_trajectory(
-            transition, sampler_observation, 5, 50, seeds, cdfs=cdfs
-        )
+        states, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
         forward = inference.forward_pass(transition, observation, measured, prior)
         backward = inference.backward_pass(transition, observation, measured)
         for d, beliefs in zip(differences, (forward.vectors, inference.smooth(forward, backward))):
@@ -756,6 +764,56 @@ def test_posterior_predicts_its_own_accuracy_and_catches_a_mismatched_sampler(
     misread = sensor.observation_model(default_graph, 1.5).dense()
     gaps = calibration_gaps(default_transition, default_observation, misread)
     assert np.all(np.abs(gaps) > 4), gaps
+
+
+# ---- likelihood ratio ----
+
+
+def log_evidence_gaps(graph, drives, sampler_sigma, sigmas):
+    """Paired gaps, in standard errors, of log p(y) at ``sampler_sigma`` over each of ``sigmas``.
+
+    ``drives`` drives of 50 steps from node 5 (seeds ``trial_seed(0, t)``) are
+    sampled from the graph's model at ``sampler_sigma`` and filtered at each
+    sigma. Under the sampler's own model, the mean of log p(y | true) -
+    log p(y | other) is a KL divergence, so it is >= 0 (Wald; for HMMs, Leroux
+    1992), and a gap of several standard errors shows which model made y.
+    """
+    transition = roadmap.build_transition_matrix(graph)
+    tables = experiment.sampling_tables(graph, sensor.observation_model(graph, sampler_sigma))
+    seeds = [experiment.trial_seed(0, t) for t in range(drives)]
+    _, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
+    prior = inference.point_mass_belief(graph.num_nodes, 5)
+
+    def log_evidence(sigma):
+        forward = inference.forward_pass(
+            transition, sensor.observation_model(graph, sigma), measured, prior
+        )
+        return forward.log_scale_factors.sum(axis=0)
+
+    truth = log_evidence(sampler_sigma)
+    d = np.array([truth - log_evidence(sigma) for sigma in sigmas])
+    return d.mean(axis=1) / (d.std(axis=1, ddof=1) / np.sqrt(drives))
+
+
+@pytest.mark.parametrize("num_nodes, drives", [(105, 100), (700, 100), (3000, 20)])
+def test_log_evidence_peaks_at_the_true_sigma_and_catches_a_mismatched_sampler(
+    default_graph, num_nodes, drives
+):
+    # Measured gaps, in SE: on the default map, drives sampled at sigma 1 give
+    # +7.9 over sigma 0.8 and +5.1 over 1.25; at generate_default_map(700, 1),
+    # +7.1 and +7.8. A sigma 1.5 sampler gives +11.6, +10.4 and +8.2 over the
+    # model's sigma 1 at M = 105, 700 and 3000 (1.2 s at 3000, so the sigma 1
+    # sweep is left out there; it read +4.1 and +6.7).
+    # A transition mismatch, 20 % or 50 % extra parking weight in the sampler,
+    # is too weak to assert on at this cost: x1.2 reads +1.3, +1.0 and 0.0 SE
+    # at M = 105, 700 and 3000 (100, 100 and 20 drives), and x1.5 +3.6, +3.5
+    # and +1.0 SE.
+    graph = default_graph if num_nodes == 105 else roadmap.generate_default_map(num_nodes, 1)
+    if num_nodes < 3000:
+        gaps = log_evidence_gaps(graph, drives, 1.0, [0.8, 1.25])
+        assert np.all(gaps > 4), gaps
+    gap = log_evidence_gaps(graph, drives, 1.5, [1.0])
+    assert np.all(gap > 4), gap
 
 
 # ---- fixed-lag smoothing ----
@@ -784,13 +842,11 @@ def test_fixed_lag_estimates_run_from_the_filter_to_the_smoother(
     # 250 at a time; lag 5 measured 99.954 % agreement with the full smoother
     transition, observation, steps = default_transition, default_observation, 50
     prior = inference.point_mass_belief(transition.shape[0], 5)
-    cdfs = (experiment.column_cdfs(transition), experiment.column_cdfs(observation))
+    tables = oracle.sampling_table(transition), oracle.sampling_table(observation)
     agree = total = 0
     for start in range(0, 1000, 250):
         seeds = [experiment.trial_seed(0, t) for t in range(start, start + 250)]
-        _, measured = experiment.sample_trajectory(
-            transition, observation, 5, steps, seeds, cdfs=cdfs
-        )
+        _, measured = experiment.sample_trajectory(*tables, 5, steps, seeds)
         forward = inference.forward_pass(transition, observation, measured, prior)
         filtered = inference.map_estimate(forward.vectors)
         backward = inference.backward_pass(transition, observation, measured)

@@ -276,11 +276,12 @@ LOST_BACKWARD_DRIVES = [1130, 2941, 3496, 3993]
     ],
 )
 def test_smoother_agrees_with_log_domain_reference_on_misread_drives(
-    default_transition, default_observation, trial
+    default_transition, default_observation, default_tables, trial
 ):
     misread = np.roll(default_observation, 1, axis=1)
     seed = experiment.trial_seed(0, trial)
-    _, measured = experiment.sample_trajectory(default_transition, misread, 5, 50, seed)
+    tables = default_tables[0], oracle.sampling_table(misread)
+    _, measured = experiment.sample_trajectory(*tables, 5, 50, seed)
     prior = inference.point_mass_belief(105, 5)
     forward = inference.forward_pass(default_transition, default_observation, measured, prior)
     backward = inference.backward_pass(default_transition, default_observation, measured)
@@ -383,10 +384,10 @@ def vector_backward(transition, observation, measurements):
     return np.array(beliefs[::-1])
 
 
-def test_single_sequence_is_bit_identical_to_vector_recursion(default_transition, default_observation):
-    _, measurements = experiment.sample_trajectory(
-        default_transition, default_observation, 5, 2000, seed=4
-    )
+def test_single_sequence_is_bit_identical_to_vector_recursion(
+    default_transition, default_observation, default_tables
+):
+    _, measurements = experiment.sample_trajectory(*default_tables, 5, 2000, seed=4)
     prior = inference.point_mass_belief(105, 5)
     result = inference.run_smoother(default_transition, default_observation, measurements, prior)
     filtered = vector_forward(default_transition, default_observation, measurements, prior)

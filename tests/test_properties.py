@@ -63,6 +63,25 @@ def test_save_load_map_round_trip(graph):
 
 
 @PROPERTY
+@given(graphs())
+def test_transition_entries_equal_the_dense_reference(graph):
+    # random weights, zeros and integers among them; a positive weight that the
+    # reference rounds to 0 must be rejected instead
+    expected = oracle.reference_transition(graph)
+    if any(e.weight > 0 and expected[e.dst - 1, e.src - 1] == 0 for e in graph.edges):
+        with pytest.raises(roadmap.MapError, match="rounds to probability 0"):
+            roadmap.transition_entries(graph)
+        return
+    rows, columns, values = roadmap.transition_entries(graph)
+    assert np.all(np.diff(columns * graph.num_nodes + rows) > 0)
+    assert sorted(zip(rows.tolist(), columns.tolist())) == sorted(
+        (e.dst - 1, e.src - 1) for e in graph.edges
+    )
+    assert values.tobytes() == expected[rows, columns].tobytes()
+    assert roadmap.build_transition_matrix(graph).tobytes() == expected.tobytes()
+
+
+@PROPERTY
 @given(models())
 def test_scaled_recursions_equal_path_oracle(model):
     transition, observation, initial, measurements = model

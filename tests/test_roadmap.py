@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracle
 from roadhmm import roadmap
 from roadhmm.roadmap import Edge, MapError, RoadGraph
 
@@ -199,14 +200,6 @@ def test_positive_weight_that_would_get_probability_zero_is_rejected(weight_1_2,
         roadmap.build_transition_matrix(overflow_graph(weight_1_2))
 
 
-def reference_transition(graph):
-    """The two-array build that build_transition_matrix replaced, kept as its reference."""
-    src, dst, weight = (np.array(column) for column in zip(*graph.edges))
-    weights = np.zeros((graph.num_nodes, graph.num_nodes))
-    weights[dst - 1, src - 1] = weight
-    return weights / weights.sum(axis=0)
-
-
 @pytest.mark.parametrize(
     "kwargs", [{}, {"num_nodes": 700, "seed": 5}, {"num_nodes": 12, "seed": 5}],
     ids=["default", "generated700", "generated12"],
@@ -214,9 +207,46 @@ def reference_transition(graph):
 def test_transition_bytes_equal_two_array_reference(kwargs):
     graph = roadmap.generate_default_map(**kwargs)
     matrix = roadmap.build_transition_matrix(graph)
-    expected = reference_transition(graph)
+    expected = oracle.reference_transition(graph)
     assert matrix.shape == expected.shape and matrix.dtype == expected.dtype
     assert matrix.tobytes() == expected.tobytes()
+
+
+#: Node 1 keeps a -0.0 weight on its edge to node 2, node 2 a 0 weight on its self loop
+SIGNED_ZERO_GRAPH = RoadGraph(
+    2, (Edge(1, 1, 1.0), Edge(1, 2, -0.0), Edge(2, 1, 1.0), Edge(2, 2, 0))
+)
+
+
+def assert_entries_equal_reference(graph):
+    """One entry per edge, sorted by column, then row, with the reference's bits;
+    the matrix scattered from them is the reference, signed zeros included."""
+    rows, columns, values = roadmap.transition_entries(graph)
+    expected = oracle.reference_transition(graph)
+    assert rows.shape == columns.shape == values.shape == (len(graph.edges),)
+    assert np.all(np.diff(columns * graph.num_nodes + rows) > 0)
+    assert {(r + 1, c + 1) for r, c in zip(rows.tolist(), columns.tolist())} == {
+        (e.dst, e.src) for e in graph.edges
+    }
+    assert values.tobytes() == expected[rows, columns].tobytes()
+    assert roadmap.build_transition_matrix(graph).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"num_nodes": 700, "seed": 5}, {"num_nodes": 12, "seed": 5}],
+    ids=["default", "generated700", "generated12"],
+)
+def test_transition_entries_equal_two_array_reference(kwargs):
+    assert_entries_equal_reference(roadmap.generate_default_map(**kwargs))
+
+
+def test_transition_entries_keep_zero_weight_edges_and_their_sign():
+    reversed_graph = RoadGraph(2, tuple(reversed(SIGNED_ZERO_GRAPH.edges)))
+    for graph in (SIGNED_ZERO_GRAPH, reversed_graph, RoadGraph(1, (Edge(1, 1, 1.0),))):
+        assert_entries_equal_reference(graph)
+    for graph in (SIGNED_ZERO_GRAPH, reversed_graph):
+        _, _, values = roadmap.transition_entries(graph)
+        assert values.tobytes() == np.array([1.0, -0.0, 1.0, 0.0]).tobytes()
 
 
 def test_transition_peak_memory_is_one_matrix():
