@@ -1,6 +1,9 @@
 import csv
+import errno
 import io
 import json
+import mmap
+import os
 import pkgutil
 import tracemalloc
 import warnings
@@ -981,6 +984,26 @@ def test_out_of_memory_exits_1_with_message(tmp_path, small_map_path, capsys, mo
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 298. GiB for an array with shape (200000, 200000)\n"
     assert not out.exists()
+
+
+def refused_mapping(*args, **kwargs):
+    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+
+@pytest.mark.parametrize("command", ["simulate", "export-matrices"])
+def test_a_refused_transition_mapping_exits_1_naming_its_size(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(mmap, "mmap", refused_mapping)
+    monkeypatch.chdir(tmp_path)
+    if command == "simulate":
+        args = simulate_args("sim.csv")
+    else:
+        args = ["export-matrices", "--out-prefix", "m"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 88,200 bytes for the (105, 105) transition matrix"
+        f" ({os.strerror(errno.ENOMEM)})\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- the package ----

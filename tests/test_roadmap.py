@@ -1,5 +1,9 @@
+import errno
+import gc
 import hashlib
 import json
+import mmap
+import os
 import re
 import tracemalloc
 
@@ -220,7 +224,10 @@ SIGNED_ZERO_GRAPH = RoadGraph(
 
 def assert_entries_equal_reference(graph):
     """One entry per edge, sorted by column, then row, with the reference's bits;
-    the matrix scattered from them is the reference, signed zeros included."""
+    the matrix built from them, in a private mapping or in np.zeros as where mmap
+    has no MAP_PRIVATE (Windows), is a C-contiguous, writeable float64 (M, M)
+    array with the bytes of their np.zeros scatter and of the reference, signed
+    zeros included, and stays so after its builder's frame is collected."""
     rows, columns, values = roadmap.transition_entries(graph)
     expected = oracle.reference_transition(graph)
     assert rows.shape == columns.shape == values.shape == (len(graph.edges),)
@@ -229,7 +236,17 @@ def assert_entries_equal_reference(graph):
         (e.dst, e.src) for e in graph.edges
     }
     assert values.tobytes() == expected[rows, columns].tobytes()
-    assert roadmap.build_transition_matrix(graph).tobytes() == expected.tobytes()
+    scattered = np.zeros((graph.num_nodes, graph.num_nodes))
+    scattered[rows, columns] = values
+    mapped = roadmap.build_transition_matrix(graph)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(mmap, "MAP_PRIVATE")
+        zeros = roadmap.build_transition_matrix(graph)
+    gc.collect()
+    for matrix in (mapped, zeros):
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
+        assert matrix.dtype == np.float64 and matrix.shape == scattered.shape
+        assert matrix.tobytes() == scattered.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -249,7 +266,21 @@ def test_transition_entries_keep_zero_weight_edges_and_their_sign():
         assert values.tobytes() == np.array([1.0, -0.0, 1.0, 0.0]).tobytes()
 
 
+def test_a_refused_mapping_raises_memory_error_naming_its_size(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    message = (f"Unable to allocate 1,152 bytes for the (12, 12) transition matrix "
+               f"({os.strerror(errno.ENOMEM)})")
+    with pytest.raises(MemoryError, match=f"^{re.escape(message)}$"):
+        roadmap.build_transition_matrix(roadmap.generate_default_map(num_nodes=12, seed=5))
+
+
 def test_transition_peak_memory_is_one_matrix():
+    # tracemalloc does not see the private mapping that holds the matrix, only the
+    # entries and their scatter (0.07 of nbytes measured), so one M x M numpy
+    # temporary fails this; where the matrix is np.zeros (Windows) it counts too
     graph = roadmap.generate_default_map(num_nodes=700, seed=5)
     tracemalloc.start()
     try:
@@ -257,7 +288,7 @@ def test_transition_peak_memory_is_one_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * matrix.nbytes
+    assert peak <= (0.5 if hasattr(mmap, "MAP_PRIVATE") else 1.5) * matrix.nbytes
 
 
 # ---- generate_default_map ----
