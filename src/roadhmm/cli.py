@@ -12,7 +12,7 @@ import argparse
 import re
 import sys
 from contextlib import contextmanager, nullcontext, suppress
-from itertools import chain
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -206,10 +206,12 @@ def _cmd_infer(args) -> int:
     )
     with _output(args.out) as out:
         out.write(header + "\n")
-        for method, table in beliefs.items():
-            rows = zip(measurements, estimates[method], table)
-            for k, (measured, estimate, belief) in enumerate(rows, start=1):
-                out.write(f"{method},{k},{measured},{estimate},{matrixio.format_row(belief)}\n")
+        # each row's "method,k,measured,estimate," prefix, made as the row is written
+        matrixio.write_rows(out, [
+            (map("{},{},{},{},".format, repeat(method), count(1), measurements, estimates[method]),
+             table)
+            for method, table in beliefs.items()
+        ])
     return EXIT_OK
 
 

@@ -5,8 +5,13 @@ import json
 import mmap
 import os
 import pkgutil
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +640,74 @@ def test_pgm_writes_row_by_row_without_a_matrix_temporary():
     assert peak < 0.1 * transition.nbytes
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: row values whose repr takes dtoa's slow paths: the smallest subnormal, other
+#: subnormals, signed zeros and full-precision values
+AWKWARD_VALUES = [5e-324, 2.2250738585072e-310, 1e-320, -0.0, 0.0, 1 / 3, 0.1, 1e300, 1.0]
+
+
+def writer_tables(num_rows):
+    """Two prefixed tables holding ``num_rows`` rows in all, and the serial loop's text."""
+    rng = np.random.default_rng(num_rows)
+    table = rng.choice(AWKWARD_VALUES, size=(num_rows, 6))
+    table[::2, :3] = 0.0  # unequal rows, so the cost-balanced split is not at the middle
+    first, second = table[: num_rows // 2], table[num_rows // 2:]
+    tables = [(iter([f"a,{k}," for k in range(len(first))]), first),
+              (iter([f"b,{k}," for k in range(len(second))]), second)]
+    reference = "".join(
+        f"{name},{k}," + ",".join(map(repr, row.tolist())) + "\n"
+        for name, part in (("a", first), ("b", second)) for k, row in enumerate(part)
+    )
+    return tables, reference
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls made while the test runs, one entry each."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.mark.parametrize("num_rows", [0, 1, 2, 3, 7])
+def test_write_rows_equals_the_serial_loop_to_a_file_and_to_stdout(tmp_path, capsys, forks,
+                                                                   num_rows):
+    tables, reference = writer_tables(num_rows)
+    path = tmp_path / "rows.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("header\n")  # pending in the buffer when the helper starts
+        matrixio.write_rows(out, tables)
+        out.write("end\n")
+    assert path.read_bytes() == f"header\n{reference}end\n".encode()
+    tables, _ = writer_tables(num_rows)
+    print("header")
+    matrixio.write_rows(sys.stdout, tables)
+    assert capsys.readouterr() == (f"header\n{reference}", "")
+    # one helper per call from two rows on; it left no child behind
+    assert len(forks) == (2 if num_rows >= 2 else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("heavy, parent_rows", [("first", 2), ("none", 5), ("last", 7)])
+def test_write_rows_splits_at_half_the_estimated_cost(monkeypatch, heavy, parent_rows):
+    # a nonzero costs ten zeros, so a row of four nonzeros costs 40 and one of
+    # four zeros 4: the parent formats the rows whose running cost stays within
+    # half of the total
+    table = np.zeros((10, 4))
+    table[{"first": slice(0, 5), "none": slice(0, 0), "last": slice(5, 10)}[heavy]] = 0.5
+    formatted, format_row = [], matrixio.format_row
+    monkeypatch.setattr(matrixio, "format_row",
+                        lambda row: formatted.append(1) or format_row(row))
+    out = io.StringIO()
+    matrixio.write_rows(out, [(repeat(""), table)])
+    assert out.getvalue() == "".join(format_row(row) + "\n" for row in table)
+    assert len(formatted) == parent_rows  # the helper's calls append in its own memory
+
+
 def test_export_observation_diagonal_band(tmp_path):
     prefix = str(tmp_path / "obs")
     assert main(["export-matrices", "--sigma", "1", "--out-prefix", prefix]) == 0
@@ -937,6 +1010,126 @@ def test_infer_stdout_equals_out_file(tmp_path, small_map_path, capsys):
     capsys.readouterr()
     assert main(infer_args(small_map_path, measurements, "--out", "-")) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_infer_leaves_no_child_process(tmp_path, small_map_path, capsys):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("4\n3\n2\n2\n")
+    assert main(infer_args(small_map_path, measurements, "--out", "-")) == 0
+    assert capsys.readouterr().out.count("\n") == 9
+    assert_no_child_left()
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose writes after the first raise ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        if self.tell():
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")])
+def test_a_failing_row_write_kills_and_reaps_the_helper(tmp_path, small_map_path, capsys,
+                                                        monkeypatch, error):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("4\n3\n2\n2\n" * 50)
+    parent, format_row = os.getpid(), matrixio.format_row
+
+    def stuck_in_the_helper(row):
+        if os.getpid() != parent:
+            time.sleep(60)  # only a kill ends the helper in time
+            raise ValueError("the helper was not killed")
+        return format_row(row)
+
+    monkeypatch.setattr(matrixio, "format_row", stuck_in_the_helper)
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+    start = time.monotonic()
+    assert main(infer_args(small_map_path, measurements, "--out", "-")) == cli.EXIT_IO
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == f"I/O error: {error}\n"
+    assert_no_child_left()
+
+
+def test_an_interrupted_row_write_kills_and_reaps_the_helper(tmp_path, small_map_path,
+                                                             monkeypatch):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("4\n3\n2\n2\n" * 50)
+    monkeypatch.setattr(sys, "stdout", FailingStdout(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(infer_args(small_map_path, measurements, "--out", "-"))
+    assert_no_child_left()
+
+
+#: A command that dies, as a timed-out benchmark child is killed, while its
+#: helper formats rows at 10 ms each; it prints the helper's pid first.
+ORPHANING_SCRIPT = """
+import os, signal, time
+import numpy as np
+from itertools import repeat
+from roadhmm import matrixio
+
+matrixio._BLOCK_ROWS = 4
+parent, fork, format_row = os.getpid(), os.fork, matrixio.format_row
+
+def fork_and_tell():
+    helper = fork()
+    if helper:
+        print(helper, flush=True)
+    return helper
+
+def slow_row(row):
+    if os.getpid() == parent:
+        os.kill(parent, signal.SIGKILL)
+    time.sleep(0.01)
+    return format_row(row)
+
+os.fork, matrixio.format_row = fork_and_tell, slow_row
+matrixio.write_rows(open(os.devnull, "w"), [(repeat(""), np.zeros((2000, 3)))])
+"""
+
+
+def test_an_orphaned_helper_stops_within_a_block_of_rows():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.monotonic()
+    # the helper holds the stdout pipe, so this returns only once the helper has exited
+    done = subprocess.run([sys.executable, "-c", ORPHANING_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert done.returncode == -signal.SIGKILL and int(done.stdout) > 0, done.stderr
+    # about 1000 rows were left to the helper: 10 s unless it stops after its block
+    assert elapsed < 5, f"the orphaned helper ran on for {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("failure", ["format_row", "orphaned"])
+def test_a_failing_helper_exits_2_naming_it_without_a_traceback(tmp_path, small_map_path,
+                                                               capsys, monkeypatch, failure):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("4\n3\n2\n2\n")
+    parent, format_row = os.getpid(), matrixio.format_row
+
+    def fails_in_the_helper(row):
+        if os.getpid() != parent:
+            raise ValueError("formatting failed")
+        return format_row(row)
+
+    if failure == "format_row":
+        monkeypatch.setattr(matrixio, "format_row", fails_in_the_helper)
+    else:  # the helper sees another parent, as it would once this process had died
+        monkeypatch.setattr(os, "getppid", lambda: 1)
+    out = tmp_path / "beliefs.csv"
+    assert main(infer_args(small_map_path, measurements, "--out", str(out))) == cli.EXIT_IO
+    assert capsys.readouterr() == (
+        "", "I/O error: the row-formatting helper process exited with status 1\n"
+    )
+    assert_no_child_left()
 
 
 def test_infer_impossible_measurement_leaves_no_out_file(tmp_path, capsys):
