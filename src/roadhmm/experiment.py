@@ -4,16 +4,20 @@ A run's one result is its per-trial filter and smoother accuracies, and
 ``TABLE1_SCENARIOS`` lists the paper's three reference scenarios. Trials are
 seeded independently from a master seed through a SplitMix64 stream and run
 in batches whose width is a fixed function of the run's size, so a run's
-results are a function of its configuration alone.
+results are a function of its configuration alone. ``simulate_trials``
+streams the batches in order; ``run_experiment`` builds the model once and,
+where ``os.fork`` exists, runs the later half of the batches in a helper
+process, which leaves every result unchanged.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import inference, roadmap, sensor
+from . import inference, matrixio, roadmap, sensor
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -184,6 +188,45 @@ def batch_width(steps: int, num_states: int) -> int:
     return max(1, _BATCH_BYTES // (8 * steps * num_states))
 
 
+def _trial_batches(config: ExperimentConfig, smoother: bool = True):
+    """Check a configuration and build its model once: (starts, run_batch).
+
+    ``starts`` are the batches' first trials, in order, and
+    ``run_batch(start)`` samples and infers the batch from trial ``start``,
+    as ``simulate_trials`` yields it. A batch is a function of the config and
+    its start alone.
+    """
+    graph = read_graph(config.map_source)
+    sensor.gaussian_kernel(0, 0, config.sigma)  # raises on a bad sigma
+    prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
+    if config.steps < 1:
+        raise ValueError("steps must be >= 1")
+    if config.trials < 1:
+        raise ValueError("trials must be >= 1")
+    transition, observation = build_model(graph, config.sigma)
+    tables = sampling_tables(graph, observation)
+    width = batch_width(config.steps, graph.num_nodes)
+
+    def run_batch(start: int):
+        batch = slice(start, start + width)
+        seeds = [trial_seed(config.master_seed, t) for t in range(config.trials)[batch]]
+        x, y = sample_trajectory(*tables, config.initial_state, config.steps, seeds)
+        smoothed = None
+        try:
+            forward = inference.forward_pass(transition, observation, y, prior)
+            filtered = inference.map_estimate(forward.vectors).T
+            if smoother:
+                # the backward messages hold the smoothed beliefs; both message arrays
+                # are freed on return, before the next batch's passes
+                backward = inference.backward_pass(transition, observation, y)
+                smoothed = inference.map_estimate(inference.smooth(forward, backward)).T
+        except inference.InferenceError as exc:
+            raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
+        return x.T, y.T, filtered, smoothed
+
+    return range(0, config.trials, width), run_batch
+
+
 def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     """Yield a configuration's trials one batch at a time, in trial order.
 
@@ -198,36 +241,33 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     ``build_model`` call build the model, whose one M x M array is the
     transition matrix.
     """
-    graph = read_graph(config.map_source)
-    sensor.gaussian_kernel(0, 0, config.sigma)  # raises on a bad sigma
-    prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
-    if config.steps < 1:
-        raise ValueError("steps must be >= 1")
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
-    transition, observation = build_model(graph, config.sigma)
-    tables = sampling_tables(graph, observation)
-    width = batch_width(config.steps, graph.num_nodes)
-    for start in range(0, config.trials, width):
-        batch = slice(start, start + width)
-        seeds = [trial_seed(config.master_seed, t) for t in range(config.trials)[batch]]
-        x, y = sample_trajectory(*tables, config.initial_state, config.steps, seeds)
-        smoothed = None
-        try:
-            forward = inference.forward_pass(transition, observation, y, prior)
-            filtered = inference.map_estimate(forward.vectors).T
-            if smoother:
-                # the backward messages, which hold the smoothed beliefs, are freed here:
-                # the next batch's passes overlap only this batch's forward messages
-                backward = inference.backward_pass(transition, observation, y)
-                smoothed = inference.map_estimate(inference.smooth(forward, backward)).T
-                del backward
-        except inference.InferenceError as exc:
-            raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
-        yield x.T, y.T, filtered, smoothed
+    starts, run_batch = _trial_batches(config, smoother)
+    for start in starts:
+        yield run_batch(start)
 
 
 def run_experiment(config: ExperimentConfig):
-    """(filter, smoother) accuracies of the sampled drives: two (trials,) arrays in trial order."""
-    batches = [(accuracy(x, f), accuracy(x, s)) for x, _, f, s in simulate_trials(config)]
+    """(filter, smoother) accuracies of the sampled drives: two (trials,) arrays in trial order.
+
+    The model is built once, here. Where ``os`` has ``fork`` and there are
+    two batches or more, a helper process forked after the build runs the
+    later half of the batches while this process runs the earlier half. A
+    batch's results depend only on the config and its start, so the arrays
+    equal those of one serial loop, and so does the error of the first
+    failing trial: this process's half comes first in trial order.
+    """
+    starts, run_batch = _trial_batches(config)
+
+    def accuracies(batch_starts):
+        for start in batch_starts:
+            x, _, filtered, smoothed = run_batch(start)
+            yield accuracy(x, filtered), accuracy(x, smoothed)
+
+    if len(starts) < 2 or not hasattr(os, "fork"):
+        batches = list(accuracies(starts))
+    else:
+        split = (len(starts) + 1) // 2
+        own, rest = matrixio._with_helper("Monte Carlo", accuracies(starts[split:]),
+                                          lambda: list(accuracies(starts[:split])))
+        batches = own + rest
     return tuple(np.concatenate(column) for column in zip(*batches))

@@ -1126,8 +1126,111 @@ def test_a_failing_helper_exits_2_naming_it_without_a_traceback(tmp_path, small_
         monkeypatch.setattr(os, "getppid", lambda: 1)
     out = tmp_path / "beliefs.csv"
     assert main(infer_args(small_map_path, measurements, "--out", str(out))) == cli.EXIT_IO
+    cause = {"format_row": "failed: ValueError: formatting failed",
+             "orphaned": "exited with status 1"}[failure]
+    assert capsys.readouterr() == ("", f"I/O error: the row-formatting helper process {cause}\n")
+    assert_no_child_left()
+
+
+# ---- replicate-table1's batches in two processes ----
+
+
+def serial_accuracies(config):
+    """(filter, smoother) accuracies from one serial loop over ``simulate_trials``."""
+    batches = [(experiment.accuracy(x, f), experiment.accuracy(x, s))
+               for x, _, f, s in experiment.simulate_trials(config)]
+    return tuple(np.concatenate(column) for column in zip(*batches))
+
+
+@pytest.mark.parametrize("trials", [1, 24, 25, 51, 500])
+def test_run_experiment_in_two_processes_equals_the_serial_loop(forks, trials):
+    # W = 24 at T = 50 and M = 105: one batch, an exact batch, a short last
+    # batch, an odd batch count (3), and the 21 batches of a Table 1 scenario
+    assert experiment.batch_width(50, 105) == 24
+    config = experiment.ExperimentConfig(90, 2.0, steps=50, trials=trials, master_seed=13)
+    result = experiment.run_experiment(config)
+    assert len(forks) == (0 if trials <= 24 else 1)
+    for got, expected in zip(result, serial_accuracies(config), strict=True):
+        assert got.dtype == expected.dtype and got.shape == (trials,)
+        assert np.array_equal(got, expected)
+    assert_no_child_left()
+
+
+def test_the_helpers_result_may_exceed_a_pipe_buffer():
+    # 1.2 MB of results, where a pipe holds 64 KiB: read before the helper is reaped
+    steps = (np.full(50_000, float(i)) for i in range(3))
+    own, rest = matrixio._with_helper("test", steps, lambda: "own")
+    assert own == "own" and len(rest) == 3
+    assert all(np.array_equal(part, np.full(50_000, float(i))) for i, part in enumerate(rest))
+    assert_no_child_left()
+
+
+def corrupt_trials(monkeypatch, master_seed, *trials):
+    """Zero step 3's measurement of each of ``trials``, in whichever process samples it."""
+    sample = experiment.sample_trajectory
+    seeds = {experiment.trial_seed(master_seed, t) for t in trials}
+
+    def corrupt(*args):
+        states, measurements = sample(*args)
+        for column, seed in enumerate(args[-1]):
+            if seed in seeds:
+                measurements[2, column] = 0
+        return states, measurements
+
+    monkeypatch.setattr(experiment, "sample_trajectory", corrupt)
+
+
+def table1_error(monkeypatch, capsys, serial):
+    """``replicate-table1 --trials 60`` (batches from trials 0, 24 and 48, the last in the
+    helper): its exit code and stderr, forked or, with ``serial``, as where ``os`` has no fork."""
+    if serial:
+        monkeypatch.delattr(os, "fork")
+    code = main(["replicate-table1", "--trials", "60", "--seed", "4"])
+    captured = capsys.readouterr()
+    monkeypatch.undo()
+    return code, captured.err
+
+
+@pytest.mark.parametrize("trials, first", [((50,), 50), ((5, 50), 5), ((30, 50), 30)],
+                         ids=["helper", "both-first-batch", "both-second-batch"])
+def test_the_first_failing_trial_wins_whichever_process_runs_it(monkeypatch, capsys, trials,
+                                                                first):
+    errors = []
+    for serial in (True, False):
+        corrupt_trials(monkeypatch, 4, *trials)
+        errors.append(table1_error(monkeypatch, capsys, serial))
+    assert errors[0] == errors[1]
+    code, err = errors[1]
+    assert code == cli.EXIT_INVALID
+    assert err.startswith(f"error: trial {first}: step 3: measurement 0 out of range")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [inference.InferenceError("failed", 1, 0), KeyboardInterrupt()])
+def test_a_failing_parent_half_kills_and_reaps_the_monte_carlo_helper(monkeypatch, failure):
+    parent, sample = os.getpid(), experiment.sample_trajectory
+
+    def helper_stuck_parent_fails(*args):
+        if os.getpid() != parent:
+            time.sleep(60)  # only a kill ends the helper in time
+        elif args[-1][0] == experiment.trial_seed(0, 24):  # the parent's second batch
+            raise failure
+        return sample(*args)
+
+    monkeypatch.setattr(experiment, "sample_trajectory", helper_stuck_parent_fails)
+    start = time.monotonic()
+    with pytest.raises(type(failure)):
+        experiment.run_experiment(experiment.ExperimentConfig(5, 1.0, steps=50, trials=100))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_an_orphaned_monte_carlo_helper_exits_2_naming_it(monkeypatch, capsys):
+    # the helper sees another parent, as it would once this process had died
+    monkeypatch.setattr(os, "getppid", lambda: 1)
+    assert main(["replicate-table1", "--trials", "60"]) == cli.EXIT_IO
     assert capsys.readouterr() == (
-        "", "I/O error: the row-formatting helper process exited with status 1\n"
+        "", "I/O error: the Monte Carlo helper process exited with status 1\n"
     )
     assert_no_child_left()
 
