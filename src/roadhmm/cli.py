@@ -191,15 +191,11 @@ def _cmd_infer(args) -> int:
         raise ValueError(f"no measurements in {args.measurements}")
     prior = inference.point_mass_belief(graph.num_nodes, args.init_state)
     transition, observation = experiment.build_model(graph, args.sigma)
-    forward = inference.forward_pass(transition, observation, measurements, prior)
-    beliefs = {}
-    if args.method != "smoother":
-        beliefs["filter"] = forward.vectors
-    if args.method != "filter":
-        # the smoothed beliefs reuse the backward messages' storage: two (T, M) arrays, not three
-        beliefs["smoother"] = inference.smooth(
-            forward, inference.backward_pass(transition, observation, measurements)
-        )
+    result = inference.run_smoother(transition, observation, measurements, prior,
+                                    smoother=args.method != "filter")
+    beliefs = {"filter": result.filtered, "smoother": result.smoothed}
+    if args.method != "both":  # only the selected method's table is written
+        beliefs = {args.method: beliefs[args.method]}
     estimates = {method: inference.map_estimate(b).tolist() for method, b in beliefs.items()}
     header = "method,k,measured,estimate," + ",".join(
         f"p_{i}" for i in range(1, graph.num_nodes + 1)

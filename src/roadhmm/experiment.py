@@ -211,17 +211,13 @@ def _trial_batches(config: ExperimentConfig, smoother: bool = True):
         batch = slice(start, start + width)
         seeds = [trial_seed(config.master_seed, t) for t in range(config.trials)[batch]]
         x, y = sample_trajectory(*tables, config.initial_state, config.steps, seeds)
-        smoothed = None
         try:
-            forward = inference.forward_pass(transition, observation, y, prior)
-            filtered = inference.map_estimate(forward.vectors).T
-            if smoother:
-                # the backward messages hold the smoothed beliefs; both message arrays
-                # are freed on return, before the next batch's passes
-                backward = inference.backward_pass(transition, observation, y)
-                smoothed = inference.map_estimate(inference.smooth(forward, backward)).T
+            # both belief arrays are freed on return, before the next batch's passes
+            result = inference.run_smoother(transition, observation, y, prior, smoother)
         except inference.InferenceError as exc:
             raise inference.InferenceError(exc.reason, exc.step, start + exc.trial) from exc
+        filtered = inference.map_estimate(result.filtered).T
+        smoothed = inference.map_estimate(result.smoothed).T if smoother else None
         return x.T, y.T, filtered, smoothed
 
     return range(0, config.trials, width), run_batch

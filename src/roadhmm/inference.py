@@ -20,8 +20,11 @@ The observation model is a dense (M, M) matrix or a
 steps at a time, building the rows of the chunk's distinct measured ids
 once; a chunk's rows take at most 1 MiB, whatever T is.
 
-The smoother writes its product into the backward messages' storage, so a
-smoothing run holds two belief arrays, the forward and the smoothed ones.
+``run_smoother`` is the one composition of the passes, and every command
+that infers runs it: the forward pass, then, when smoothing, the backward
+pass and the smoothing product. The product is written into the backward
+messages' storage, so a smoothing run holds two belief arrays, the forward
+and the smoothed ones.
 """
 
 from __future__ import annotations
@@ -71,11 +74,12 @@ class ScaledMessages:
 class InferenceResult:
     """Filter and smoother beliefs for one measurement sequence or a batch.
 
+    ``smoothed`` is None when ``run_smoother`` ran without the smoother.
     ``log_likelihood`` is a numpy float for one sequence and an (N,) array for a batch.
     """
 
     filtered: np.ndarray
-    smoothed: np.ndarray
+    smoothed: np.ndarray | None
     log_likelihood: np.floating | np.ndarray
 
 
@@ -227,14 +231,16 @@ def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
     return product
 
 
-def run_smoother(A, obs, measurements, initial) -> InferenceResult:
-    """Run both passes and combine into filter and smoother beliefs."""
-    fwd = forward_pass(A, obs, measurements, initial)
-    return InferenceResult(
-        filtered=fwd.vectors,
-        smoothed=smooth(fwd, backward_pass(A, obs, measurements)),
-        log_likelihood=fwd.log_scale_factors.sum(axis=0),
-    )
+def run_smoother(A, obs, measurements, initial, smoother: bool = True) -> InferenceResult:
+    """Filter beliefs, and smoother beliefs if ``smoother``: the one composition of the passes.
+
+    The forward pass always runs. With ``smoother``, the backward pass and
+    ``smooth`` follow, and the smoothed beliefs take the backward messages'
+    storage; without it, no backward pass runs and ``smoothed`` is None.
+    """
+    forward = forward_pass(A, obs, measurements, initial)
+    smoothed = smooth(forward, backward_pass(A, obs, measurements)) if smoother else None
+    return InferenceResult(forward.vectors, smoothed, forward.log_scale_factors.sum(axis=0))
 
 
 def map_estimate(belief) -> np.integer | np.ndarray:

@@ -20,8 +20,6 @@ import numpy as np
 
 #: Rows the helper formats between its checks that the parent is still alive.
 _BLOCK_ROWS = 256
-#: Characters per read when the parent appends the helper's file to ``out``.
-_COPY_CHARS = 64 * 1024
 
 
 def format_row(values: np.ndarray) -> str:
@@ -38,7 +36,8 @@ def write_rows(out: TextIO, tables: Iterable[tuple[Iterable[str], np.ndarray]]) 
     ``out``, then this process appends the helper's file. ``repr`` of a
     nonzero float costs about ten times that of a zero, so the split balances
     the rows' zeros plus ten times their nonzeros. The helper's failure is an
-    ``OSError`` that names its cause.
+    ``OSError`` that names its cause, except a ``MemoryError``, which is
+    raised unchanged.
     """
     tables = list(tables)
     # a row at a time, so no temporary the size of a table is made
@@ -58,7 +57,7 @@ def write_rows(out: TextIO, tables: Iterable[tuple[Iterable[str], np.ndarray]]) 
         _with_helper("row-formatting", _format_rest(spill, islice(rows, split, None)),
                      lambda: _write(out, islice(rows, split)))
         spill.seek(0)
-        shutil.copyfileobj(spill, out, _COPY_CHARS)
+        shutil.copyfileobj(spill, out)
 
 
 def _write(out: TextIO, rows: Iterable[tuple[str, np.ndarray]]) -> None:
@@ -73,6 +72,8 @@ def _format_rest(spill: TextIO, rows: Iterator[tuple[str, np.ndarray]]) -> Itera
             _write(spill, block)
             yield
         spill.flush()
+    except MemoryError:
+        raise  # reaches ``main`` unchanged, as the command's own out-of-memory does
     except Exception as exc:
         raise OSError(f"the row-formatting helper process failed: "
                       f"{type(exc).__name__}: {exc}") from None

@@ -984,22 +984,24 @@ def test_infer_skips_byte_order_mark(tmp_path, small_map_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_infer_filter_skips_backward_pass_and_equals_both(tmp_path, small_map_path, monkeypatch):
+@pytest.mark.parametrize("method", ["filter", "smoother"])
+def test_infer_one_method_equals_its_rows_of_both(tmp_path, small_map_path, monkeypatch, method):
     measurements = tmp_path / "meas.txt"
     measurements.write_text("1\n2\n3\n3\n4\n")
-    both, filter_only = tmp_path / "both.csv", tmp_path / "filter.csv"
+    both, one = tmp_path / "both.csv", tmp_path / f"{method}.csv"
     assert main(infer_args(small_map_path, measurements, "--out", str(both))) == 0
 
     def no_backward_pass(*args, **kwargs):
         raise AssertionError("backward_pass called")
 
-    monkeypatch.setattr(inference, "backward_pass", no_backward_pass)
-    args = infer_args(small_map_path, measurements, "--method", "filter", "--out", str(filter_only))
+    if method == "filter":  # the filter runs no backward pass
+        monkeypatch.setattr(inference, "backward_pass", no_backward_pass)
+    args = infer_args(small_map_path, measurements, "--method", method, "--out", str(one))
     assert main(args) == 0
-    header, *rows = both.read_text().splitlines()
-    assert filter_only.read_text().splitlines() == [header] + [
-        row for row in rows if row.startswith("filter,")
-    ]
+    header, *rows = both.read_bytes().splitlines(keepends=True)
+    assert one.read_bytes() == header + b"".join(
+        row for row in rows if row.startswith(f"{method},".encode())
+    )
 
 
 def test_infer_stdout_equals_out_file(tmp_path, small_map_path, capsys):
@@ -1129,6 +1131,26 @@ def test_a_failing_helper_exits_2_naming_it_without_a_traceback(tmp_path, small_
     cause = {"format_row": "failed: ValueError: formatting failed",
              "orphaned": "exited with status 1"}[failure]
     assert capsys.readouterr() == ("", f"I/O error: the row-formatting helper process {cause}\n")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("side", ["helper", "own"])
+def test_out_of_memory_while_formatting_rows_exits_1_in_either_process(
+        tmp_path, small_map_path, capsys, monkeypatch, side):
+    measurements = tmp_path / "meas.txt"
+    measurements.write_text("4\n3\n2\n2\n")
+    parent, format_row = os.getpid(), matrixio.format_row
+
+    def runs_out_of_memory(row):
+        if (os.getpid() != parent) == (side == "helper"):
+            out_of_memory()
+        return format_row(row)
+
+    monkeypatch.setattr(matrixio, "format_row", runs_out_of_memory)
+    out = tmp_path / "beliefs.csv"
+    assert main(infer_args(small_map_path, measurements, "--out", str(out))) == cli.EXIT_INVALID
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 298. GiB for an "
+                                       "array with shape (200000, 200000)\n")
     assert_no_child_left()
 
 

@@ -397,6 +397,28 @@ def test_single_sequence_is_bit_identical_to_vector_recursion(
     assert np.array_equal(result.smoothed, product / product.sum(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_run_smoother_without_the_smoother_is_the_forward_pass(random_instance, monkeypatch,
+                                                               batched):
+    rng = np.random.default_rng(47)
+    transition, observation, initial, measurements = random_instance(rng, 6, 30)
+    if batched:
+        measurements = rng.integers(1, 7, size=(30, 4))
+    forward = inference.forward_pass(transition, observation, measurements, initial)
+
+    def no_backward_pass(*args, **kwargs):
+        raise AssertionError("backward_pass called")
+
+    monkeypatch.setattr(inference, "backward_pass", no_backward_pass)
+    result = inference.run_smoother(transition, observation, measurements, initial, smoother=False)
+    assert result.smoothed is None
+    assert result.filtered.shape == ((30, 4, 6) if batched else (30, 6))
+    assert np.array_equal(result.filtered, forward.vectors)
+    expected = forward.log_scale_factors.sum(axis=0)
+    assert np.shape(result.log_likelihood) == np.shape(expected)
+    assert np.array_equal(result.log_likelihood, expected)
+
+
 def test_batch_matches_single_sequences(random_instance):
     rng = np.random.default_rng(41)
     transition, observation, _, _ = random_instance(rng, 6, 1)
