@@ -83,8 +83,9 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         map_source=args.map,
     )
-    batches = experiment.simulate_trials(config, smoother=args.method != "filter")
-    first = next(batches)  # builds the model and runs the first batch before --out opens
+    starts, run_batch = experiment.simulate_trials(config, smoother=args.method != "filter")
+    batches = map(run_batch, starts)
+    first = next(batches)  # runs the first batch before --out opens
     kept = {"filter": [], "smoother": []} if args.method == "both" else {args.method: []}
     trial = 0
     with _output(args.out) as out:

@@ -5,9 +5,10 @@ A run's one result is its per-trial filter and smoother accuracies, and
 seeded independently from a master seed through a SplitMix64 stream and run
 in batches whose width is a fixed function of the run's size, so a run's
 results are a function of its configuration alone. ``simulate_trials``
-streams the batches in order; ``run_experiment`` builds the model once and,
-where ``os.fork`` exists, runs the later half of the batches in a helper
-process, which leaves every result unchanged.
+checks a configuration and builds its model once, at the call, and hands
+out its batches: ``simulate`` runs them in order, and ``run_experiment``,
+where ``os.fork`` exists, runs the later half of them in a helper process,
+which leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -188,13 +189,21 @@ def batch_width(steps: int, num_states: int) -> int:
     return max(1, _BATCH_BYTES // (8 * steps * num_states))
 
 
-def _trial_batches(config: ExperimentConfig, smoother: bool = True):
+def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     """Check a configuration and build its model once: (starts, run_batch).
 
-    ``starts`` are the batches' first trials, in order, and
-    ``run_batch(start)`` samples and infers the batch from trial ``start``,
-    as ``simulate_trials`` yields it. A batch is a function of the config and
-    its start alone.
+    The map is read, sigma, the initial state, steps and trials are checked
+    in that order, and only then does one ``build_model`` call build the
+    model, whose one M x M array is the transition matrix, and one
+    ``sampling_tables`` call its sampling tables. ``starts`` are the batches'
+    first trials, in order. ``run_batch(start)`` samples and infers the batch
+    from trial ``start`` and returns (true_states, measurements,
+    filter_estimates, smoother_estimates): (W, steps) int arrays of node ids,
+    row i for the batch's i-th trial, with W = ``batch_width`` and a shorter
+    last batch. Each trial gets its own seed via ``trial_seed``, so a batch is
+    a function of the config and its start alone. With ``smoother=False`` the
+    backward pass and the smoothing product are skipped and
+    ``smoother_estimates`` is None.
     """
     graph = read_graph(config.map_source)
     sensor.gaussian_kernel(0, 0, config.sigma)  # raises on a bad sigma
@@ -223,36 +232,17 @@ def _trial_batches(config: ExperimentConfig, smoother: bool = True):
     return range(0, config.trials, width), run_batch
 
 
-def simulate_trials(config: ExperimentConfig, smoother: bool = True):
-    """Yield a configuration's trials one batch at a time, in trial order.
-
-    Each item is (true_states, measurements, filter_estimates,
-    smoother_estimates): (W, steps) int arrays of node ids, row i for the
-    batch's i-th trial, with W = ``batch_width`` and a shorter last batch.
-    Each trial gets its own seed via ``trial_seed``, so the rows are a
-    function of the config alone. With ``smoother=False`` the backward pass
-    and the smoothing product are skipped and ``smoother_estimates`` is None.
-    At the first ``next`` the map is read, sigma, the initial state, steps
-    and trials are checked in that order, and only then does one
-    ``build_model`` call build the model, whose one M x M array is the
-    transition matrix.
-    """
-    starts, run_batch = _trial_batches(config, smoother)
-    for start in starts:
-        yield run_batch(start)
-
-
 def run_experiment(config: ExperimentConfig):
     """(filter, smoother) accuracies of the sampled drives: two (trials,) arrays in trial order.
 
-    The model is built once, here. Where ``os`` has ``fork`` and there are
-    two batches or more, a helper process forked after the build runs the
-    later half of the batches while this process runs the earlier half. A
-    batch's results depend only on the config and its start, so the arrays
-    equal those of one serial loop, and so does the error of the first
+    ``simulate_trials`` builds the model once. Where ``os`` has ``fork`` and
+    there are two batches or more, a helper process forked after the build
+    runs the later half of the batches while this process runs the earlier
+    half. A batch's results depend only on the config and its start, so the
+    arrays equal those of one serial loop, and so does the error of the first
     failing trial: this process's half comes first in trial order.
     """
-    starts, run_batch = _trial_batches(config)
+    starts, run_batch = simulate_trials(config)
 
     def accuracies(batch_starts):
         for start in batch_starts:

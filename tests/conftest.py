@@ -16,6 +16,13 @@ def make_random_instance(rng, num_states, num_steps):
     return transition, observation, initial, measurements
 
 
+def run_trials(config, smoother=True):
+    """Yield ``experiment.simulate_trials``'s batches in trial order, each run at its ``next``."""
+    starts, run_batch = experiment.simulate_trials(config, smoother)
+    for start in starts:
+        yield run_batch(start)
+
+
 @pytest.fixture
 def random_instance():
     return make_random_instance

@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 import roadhmm
+from conftest import run_trials
 from roadhmm import cli, experiment, inference, matrixio, roadmap
 from roadhmm.cli import main
 
@@ -1160,7 +1161,7 @@ def test_out_of_memory_while_formatting_rows_exits_1_in_either_process(
 def serial_accuracies(config):
     """(filter, smoother) accuracies from one serial loop over ``simulate_trials``."""
     batches = [(experiment.accuracy(x, f), experiment.accuracy(x, s))
-               for x, _, f, s in experiment.simulate_trials(config)]
+               for x, _, f, s in run_trials(config)]
     return tuple(np.concatenate(column) for column in zip(*batches))
 
 

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
+from conftest import run_trials
 from roadhmm import cli, experiment, inference, roadmap, sensor
 from roadhmm.experiment import ExperimentConfig
 
@@ -432,7 +433,7 @@ def per_trial_reference(config):
 
 def assert_matches_reference(config):
     true_states, measured, filter_estimates, smoother_estimates = (
-        np.concatenate(column) for column in zip(*experiment.simulate_trials(config))
+        np.concatenate(column) for column in zip(*run_trials(config))
     )
     states, measurements, filtered, smoothed = per_trial_reference(config)
     assert np.array_equal(true_states, states)
@@ -460,8 +461,8 @@ def test_engine_matches_per_trial_reference_at_width_one(tmp_path):
 
 def test_engine_filter_only_skips_smoother():
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=30, master_seed=4)
-    both = list(experiment.simulate_trials(config))
-    filter_only = list(experiment.simulate_trials(config, smoother=False))
+    both = list(run_trials(config))
+    filter_only = list(run_trials(config, smoother=False))
     assert all(batch[3] is None for batch in filter_only)
     assert np.array_equal(
         np.concatenate([batch[2] for batch in filter_only]),
@@ -487,7 +488,7 @@ def test_engine_derives_seeds_one_batch_at_a_time(monkeypatch):
     monkeypatch.setattr(inference, "forward_pass", stop)
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=1000, master_seed=0)
     with pytest.raises(Stop):
-        next(experiment.simulate_trials(config))
+        next(run_trials(config))
     assert derived == list(range(experiment.batch_width(50, 105)))
 
 
@@ -505,7 +506,38 @@ def test_engine_error_names_run_trial_and_step(monkeypatch):
     monkeypatch.setattr(experiment, "sample_trajectory", corrupt_second_batch)
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=30, master_seed=1)
     with pytest.raises(inference.InferenceError, match="^trial 25: step 3: measurement 0 out of range"):
-        list(experiment.simulate_trials(config))
+        list(run_trials(config))
+
+
+def test_simulate_trials_checks_at_the_call_and_builds_once(monkeypatch):
+    calls = {"build_model": 0, "sampling_tables": 0, "sample_trajectory": 0}
+
+    def counting(name):
+        original = getattr(experiment, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counting(name))
+    bad = [
+        ({"sigma": float("nan")}, "sigma must be positive"),
+        ({"initial_state": 0}, "initial state 0 out of range"),
+        ({"steps": 0}, "steps must be >= 1"),
+        ({"trials": 0}, "trials must be >= 1"),
+    ]
+    for fields, message in bad:
+        config = ExperimentConfig(**{"initial_state": 5, "sigma": 1.0, **fields})
+        with pytest.raises(ValueError, match=message):
+            experiment.simulate_trials(config)
+    assert calls == {"build_model": 0, "sampling_tables": 0, "sample_trajectory": 0}
+    # 50 trials of 50 steps run as 24 + 24 + 2
+    config = ExperimentConfig(initial_state=5, sigma=1.0, steps=50, trials=50, master_seed=3)
+    assert len(list(run_trials(config))) == 3
+    assert calls == {"build_model": 1, "sampling_tables": 1, "sample_trajectory": 3}
 
 
 # ---- the stream: rows across batch boundaries, memory flat in the trial count ----
@@ -587,7 +619,7 @@ def test_simulate_trials_holds_at_most_two_model_matrices(tmp_path):
     for steps, trials, run in ((1, 1, next), (50, 2, list)):
         config = ExperimentConfig(initial_state=5, sigma=1.0, steps=steps, trials=trials,
                                   map_source=str(path))
-        peak = traced_peak(lambda: run(experiment.simulate_trials(config)))
+        peak = traced_peak(lambda: run(run_trials(config)))
         assert peak <= bound * num_nodes**2 * 8
 
 
@@ -598,7 +630,7 @@ def test_simulate_trials_frees_each_batch_before_the_next(monkeypatch):
     width = experiment.batch_width(steps, 105)
     belief = steps * width * 105 * 8
     config = ExperimentConfig(initial_state=5, sigma=1.0, steps=steps, trials=2 * width)
-    peak = traced_peak(lambda: [None for _ in experiment.simulate_trials(config)])
+    peak = traced_peak(lambda: [None for _ in run_trials(config)])
     # a batch's forward and backward arrays; the previous batch's backward array,
     # kept alive through the next batch's passes, would make three (3.2 measured)
     assert peak < 2.5 * belief
