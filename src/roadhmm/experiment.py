@@ -101,17 +101,17 @@ def column_cdfs(num_nodes: int, width: int, groups):
     return ids[:, :width], np.cumsum(cdf[:, :width], axis=1, out=cdf[:, :width])
 
 
-def transition_table(graph: roadmap.RoadGraph):
+def transition_table(transition: roadmap.TransitionModel):
     """The transition's ``column_cdfs``, from its nonzero entries."""
-    rows, columns, values = roadmap.transition_entries(graph)
-    nonzero = values != 0  # a zero-weight edge's entry is no entry of the table
-    group = rows[nonzero], columns[nonzero], values[nonzero]
-    return column_cdfs(graph.num_nodes, int(np.bincount(group[1]).max()), [group])
+    nonzero = transition.values != 0  # a zero-weight edge's entry is no entry of the table
+    group = transition.rows[nonzero], transition.columns[nonzero], transition.values[nonzero]
+    return column_cdfs(transition.num_nodes, int(np.bincount(group[1]).max()), [group])
 
 
-def sampling_tables(graph: roadmap.RoadGraph, observation: sensor.ObservationModel):
+def sampling_tables(transition: roadmap.TransitionModel, observation: sensor.ObservationModel):
     """``sample_trajectory``'s tables: the ``column_cdfs`` of the transition and observation."""
-    return transition_table(graph), column_cdfs(graph.num_nodes, *observation.column_entries())
+    observation_table = column_cdfs(transition.num_nodes, *observation.column_entries())
+    return transition_table(transition), observation_table
 
 
 def _draw(column_cdf, x, u):
@@ -177,11 +177,15 @@ def read_graph(map_source: str) -> roadmap.RoadGraph:
 def build_model(graph: roadmap.RoadGraph, sigma: float):
     """The graph's (transition, observation) model; check every input before calling.
 
-    The transition is a dense M x M matrix, the observation a
-    ``sensor.ObservationModel``: its ``dense()`` is the M x M matrix.
+    Both are kept in their parts, and neither builds an M x M array: the
+    transition is a ``roadmap.TransitionModel``, the edges' entries from one
+    ``transition_entries`` call, and the observation a
+    ``sensor.ObservationModel``. The passes build the transition's dense
+    ``matrix`` only on a map below the sparse crossover; ``export-matrices``
+    builds it, and the observation's ``dense()``, to write them.
     """
     observation = sensor.observation_model(graph, sigma)
-    return roadmap.build_transition_matrix(graph), observation
+    return roadmap.transition_model(graph), observation
 
 
 def batch_width(steps: int, num_states: int) -> int:
@@ -194,8 +198,8 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
 
     The map is read, sigma, the initial state, steps and trials are checked
     in that order, and only then does one ``build_model`` call build the
-    model, whose one M x M array is the transition matrix, and one
-    ``sampling_tables`` call its sampling tables. ``starts`` are the batches'
+    model and one ``sampling_tables`` call its sampling tables, both from the
+    same transition entries. ``starts`` are the batches'
     first trials, in order. ``run_batch(start)`` samples and infers the batch
     from trial ``start`` and returns (true_states, measurements,
     filter_estimates, smoother_estimates): (W, steps) int arrays of node ids,
@@ -213,7 +217,7 @@ def simulate_trials(config: ExperimentConfig, smoother: bool = True):
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     transition, observation = build_model(graph, config.sigma)
-    tables = sampling_tables(graph, observation)
+    tables = sampling_tables(transition, observation)
     width = batch_width(config.steps, graph.num_nodes)
 
     def run_batch(start: int):

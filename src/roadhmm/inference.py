@@ -10,10 +10,17 @@ The passes, the smoother and map_estimate take one sequence or a batch of N
 independent ones; every belief and prior keeps the state axis last. One
 sequence has measurements (T,), a prior (M,) and beliefs (T, M); a batch has
 measurements (T, N), a prior (N, M) or a shared (M,), and beliefs (T, N, M).
-A step of the whole batch is one product A @ B over (M, N) columns followed
-by N column normalizers; one sequence runs as the batch of one, a
-matrix-vector product. For N > 1 the matrix-matrix product may round
-differently in the last bit, so batched beliefs can differ by an ulp.
+A step of the whole batch is one transition product over (M, N) columns, A @ B
+forward and A^T @ B backward, followed by N column normalizers; one sequence
+runs as the batch of one. The transition is a dense (M, M) matrix or a
+``roadmap.TransitionModel``, and ``_product`` picks the product's kernel by
+the number of states alone. Below ``_SPARSE_STATES`` it is BLAS on the
+dense A, which may round a batch's columns differently in the last bit from
+one column's, so batched beliefs can differ by an ulp. From there on it is a
+fixed-order sum over A's padded rows, about four entries each on a road map:
+it costs O(K M) per column instead of O(M^2), never builds the dense A from
+a model, and gives a column's product the same bits alone, in a batch and at
+any BLAS thread count.
 
 The observation model is a dense (M, M) matrix or a
 ``sensor.ObservationModel``. The passes read its likelihood rows a chunk of
@@ -30,13 +37,21 @@ and the smoothed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import sensor
+from . import roadmap, sensor
 
 #: Bytes of likelihood rows that one chunk of steps may build
 _CHUNK_BYTES = 1 << 20
+
+#: States from which the passes predict with padded rows instead of BLAS on
+#: the dense A. Measured on a 2-core Linux VM with one BLAS thread, on
+#: generated maps at each size's batch width for T = 50 (forward product, best
+#: of 5): BLAS 28-75 us against 57-115 us at M = 300-400, 235-306 us against
+#: 85-150 us at M = 500-700, and 1.9 ms against 0.1 ms at M = 3000.
+_SPARSE_STATES = 500
 
 
 class InferenceError(ValueError):
@@ -143,6 +158,41 @@ def _likelihood(obs, rows: np.ndarray):
     return at
 
 
+def _product(A, transpose: bool):
+    """The transition product B -> A @ B, or A^T @ B with ``transpose``, of (M, N) columns B.
+
+    ``A`` is a dense (M, M) matrix or a ``roadmap.TransitionModel``. Below
+    ``_SPARSE_STATES`` states the product is BLAS on the dense A, the model's
+    ``matrix``. From there on it sums A's padded rows: for k = 0..K-1, one
+    gather of B's rows by the k-th entry ids, times the k-th entry values,
+    added in k order into one (M, N) total. Each column's sum is then a fixed
+    sequence of elementwise operations, and a padding term adds 0.0. A dense
+    A of that size is read into its nonzero entries first.
+    """
+    m = np.shape(A)[0]
+    if m < _SPARSE_STATES:
+        dense = A.matrix if isinstance(A, roadmap.TransitionModel) else np.asarray(A, dtype=float)
+        return partial(np.matmul, dense.T if transpose else dense)
+    if not isinstance(A, roadmap.TransitionModel):
+        A = np.asarray(A, dtype=float)
+        columns, rows = np.nonzero(A.T)  # sorted by column, then row
+        A = roadmap.TransitionModel(m, rows, columns, A[rows, columns])
+    ids, values = A.padded_rows[transpose]
+    values = values[:, :, None]  # broadcast over the N columns
+
+    def product(b: np.ndarray) -> np.ndarray:
+        total = np.take(b, ids[0], axis=0)
+        total *= values[0]
+        term = np.empty_like(total)
+        for k in range(1, len(ids)):
+            np.take(b, ids[k], axis=0, out=term)
+            term *= values[k]
+            total += term
+        return total
+
+    return product
+
+
 def _messages(vectors: np.ndarray, logs: np.ndarray, batched: bool) -> ScaledMessages:
     """Messages from (T, N, M) storage: the storage itself for a batch, (T, M) for one sequence."""
     return ScaledMessages(vectors, logs) if batched else ScaledMessages(vectors[:, 0], logs[:, 0])
@@ -155,11 +205,11 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     and renormalizes, for all N sequences at once. For a batch, ``initial``
     is (N, M), or one (M,) prior shared by all N.
     """
-    A = np.asarray(A, dtype=float)
+    predict = _product(A, transpose=False)
     rows, batched = _observation_rows(obs, measurements)
     likelihood = _likelihood(obs, rows)
     steps, n = rows.shape
-    m = A.shape[0]
+    m = np.shape(A)[0]
     # a C-contiguous (M, N) copy, so A @ belief runs the same BLAS call for every layout
     belief = np.array(np.broadcast_to(initial, (n, m)).T, dtype=float, order="C")
     vectors = np.empty((steps, n, m))
@@ -168,7 +218,7 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     # loop names the first one, and checking once keeps it out of the loop.
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(steps):
-            unnormalized = likelihood(t).T * (A @ belief)
+            unnormalized = likelihood(t).T * predict(belief)
             normalizers[t] = unnormalized.sum(axis=0)
             belief = unnormalized / normalizers[t]
             vectors[t] = belief.T
@@ -177,24 +227,23 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
 
 
 def backward_pass(A, obs, measurements) -> ScaledMessages:
-    """Scaled backward recursion using the transpose of the transition matrix.
+    """Scaled backward recursion: it predicts with the transpose of the transition matrix.
 
     The final message is the all-ones vector (stored normalized, factor
     log M); earlier messages fold in future measurements one at a time.
     """
-    A = np.asarray(A, dtype=float)
+    predict = _product(A, transpose=True)
     rows, batched = _observation_rows(obs, measurements)
     likelihood = _likelihood(obs, rows)
     steps, n = rows.shape
-    m = A.shape[0]
+    m = np.shape(A)[0]
     vectors = np.empty((steps, n, m))
     normalizers = np.full((steps, n), float(m))
     if steps:
         vectors[-1] = 1.0 / m
-    transposed = A.T
     with np.errstate(divide="ignore", invalid="ignore"):  # checked after the loop
         for t in range(steps - 2, -1, -1):
-            raw = transposed @ (likelihood(t + 1) * vectors[t + 1]).T
+            raw = predict((likelihood(t + 1) * vectors[t + 1]).T)
             normalizers[t] = raw.sum(axis=0)
             vectors[t] = (raw / normalizers[t]).T
     # the recursion runs backwards, so the first bad normalizer is the last in time:

@@ -7,9 +7,12 @@ weights into the edges' entries of a column-stochastic matrix A with
 
     A[i - 1, j - 1] = P(next = i | current = j),
 
-which ``build_transition_matrix`` places in the dense A: ``A @ belief`` is
-one prediction step. The map is directional:
-the weight of (j -> i) is independent of the weight of (i -> j).
+and ``A @ belief`` is one prediction step. ``TransitionModel`` keeps A in
+those entries, about four per column: the passes predict with its padded
+rows on a large map, and ``build_transition_matrix`` places the entries in
+the dense A, which the passes use on a small map and ``export-matrices``
+writes. The map is directional: the weight of (j -> i) is independent of
+the weight of (i -> j).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import math
 import mmap
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -178,8 +182,66 @@ def transition_entries(graph: RoadGraph):
     return dst[order] - 1, src[order] - 1, values[order]
 
 
-def build_transition_matrix(graph: RoadGraph) -> np.ndarray:
-    """The column-stochastic M x M transition matrix: ``transition_entries`` in zeros.
+def transition_model(graph: RoadGraph) -> TransitionModel:
+    """The graph's transition matrix in its entries, from one ``transition_entries`` call."""
+    return TransitionModel(graph.num_nodes, *transition_entries(graph))
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionModel:
+    """The M x M transition matrix A of ``transition_entries``, kept in its entries.
+
+    ``rows``, ``columns`` and ``values`` hold one entry per edge, 0-based and
+    sorted by column, then row. ``shape`` is (M, M), so ``np.shape`` reads it
+    without building A. ``matrix`` is the dense A, built by
+    ``build_transition_matrix`` at its first read and kept from then on;
+    ``padded_rows`` are A's and its transpose's rows for a sparse product.
+    """
+
+    num_nodes: int
+    rows: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.num_nodes, self.num_nodes)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return build_transition_matrix(self)
+
+    @cached_property
+    def padded_rows(self):
+        """((ids, values) of A, (ids, values) of its transpose), each (K, M).
+
+        Row i holds its nonzero entries in increasing column order: column
+        ``ids[k, i]`` has value ``values[k, i]``. K is the most nonzero entries
+        in any row, and a shorter row is padded with id 0 and value 0.0, so
+        (A @ b)[i] is the sum over k of values[k, i] * b[ids[k, i]].
+        """
+        by_row = np.lexsort((self.columns, self.rows))
+        return (
+            _padded(self.num_nodes, self.rows[by_row], self.columns[by_row], self.values[by_row]),
+            _padded(self.num_nodes, self.columns, self.rows, self.values),
+        )
+
+
+def _padded(m: int, rows: np.ndarray, ids: np.ndarray, values: np.ndarray):
+    """(ids, values), both (K, m): the nonzero entries of each row, which ``rows`` holds sorted."""
+    nonzero = values != 0
+    rows, ids, values = rows[nonzero], ids[nonzero], values[nonzero]
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # the entry's place in its row
+    width = max(1, int(np.bincount(rows, minlength=m).max()))
+    padded_ids, padded_values = np.zeros((width, m), dtype=np.intp), np.zeros((width, m))
+    padded_ids[slot, rows] = ids
+    padded_values[slot, rows] = values
+    return padded_ids, padded_values
+
+
+def build_transition_matrix(transition: RoadGraph | TransitionModel) -> np.ndarray:
+    """The column-stochastic M x M transition matrix of a graph or of its
+    ``TransitionModel``: the entries in zeros.
 
     The zeros are a private anonymous mapping, not ``np.zeros``: A has about
     four entries per column, so most of its 4 KiB pages receive none, and the
@@ -191,9 +253,10 @@ def build_transition_matrix(graph: RoadGraph) -> np.ndarray:
     those of ``np.zeros``, which stays the build where ``mmap`` has no
     ``MAP_PRIVATE`` (Windows).
     """
-    rows, columns, values = transition_entries(graph)
-    matrix = _zeros_on_demand(graph.num_nodes)
-    matrix[rows, columns] = values
+    if isinstance(transition, RoadGraph):
+        transition = transition_model(transition)
+    matrix = _zeros_on_demand(transition.num_nodes)
+    matrix[transition.rows, transition.columns] = transition.values
     return matrix
 
 

@@ -82,5 +82,6 @@ def default_observation(default_graph):
 @pytest.fixture(scope="session")
 def default_tables(default_graph):
     """``sample_trajectory``'s tables of the default model at sigma 1."""
-    tables = experiment.sampling_tables(default_graph, sensor.observation_model(default_graph, 1.0))
+    tables = experiment.sampling_tables(roadmap.transition_model(default_graph),
+                                        sensor.observation_model(default_graph, 1.0))
     return tuple(tuple(read_only(part) for part in table) for table in tables)

@@ -137,7 +137,7 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
     for config, *_ in rows:
         graph = experiment.read_graph(config.map_source)
         transition, observation = experiment.build_model(graph, config.sigma)
-        tables = experiment.sampling_tables(graph, observation)
+        tables = experiment.sampling_tables(transition, observation)
         prior = inference.point_mass_belief(graph.num_nodes, config.initial_state)
         for trial in range(config.trials):
             seed = experiment.trial_seed(config.master_seed, trial)
@@ -162,7 +162,7 @@ def test_criterion_5_stochasticity_and_stability():
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
     model = sensor.observation_model(graph, 1.0)
-    tables = experiment.sampling_tables(graph, model)
+    tables = experiment.sampling_tables(roadmap.transition_model(graph), model)
     observation = model.dense()
     _, measurements = experiment.sample_trajectory(*tables, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)

@@ -105,7 +105,7 @@ def test_zero_weight_edges_keep_their_signed_zeros_and_stay_out_of_the_tables(tm
     assert (tmp_path / "signed_transition.csv").read_bytes() == b"1.0,1.0\n-0.0,0.0\n"
     # each column's one positive entry, node 1; the sampler never sees the zeros
     graph = roadmap.read_map(str(path))
-    (ids, cdf), _ = experiment.sampling_tables(graph, experiment.build_model(graph, 1.0)[1])
+    (ids, cdf), _ = experiment.sampling_tables(*experiment.build_model(graph, 1.0))
     assert ids.tolist() == [[1], [1]] and cdf.tolist() == [[1.0], [1.0]]
 
 
@@ -582,7 +582,7 @@ def test_export_csv_text_is_repr_of_each_entry(tmp_path):
     prefix = tmp_path / "default"
     assert main(["export-matrices", "--sigma", "2", "--out-prefix", str(prefix)]) == 0
     transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
-    for name, matrix in (("transition", transition), ("observation", observation.dense())):
+    for name, matrix in (("transition", transition.matrix), ("observation", observation.dense())):
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
         assert (tmp_path / f"default_{name}.csv").read_bytes() == expected.encode()
 
@@ -624,14 +624,14 @@ class Discard:
 )
 def test_pgm_text_equals_whole_matrix_reference(generated, sigma):
     transition, observation = experiment.build_model(roadmap.generate_default_map(**generated), sigma)
-    for matrix in (transition, observation.dense()):
+    for matrix in (transition.matrix, observation.dense()):
         out = io.StringIO()
         matrixio.write_matrix_pgm(matrix, out)
         assert out.getvalue() == reference_pgm(matrix)
 
 
 def test_pgm_writes_row_by_row_without_a_matrix_temporary():
-    transition, _ = experiment.build_model(roadmap.generate_default_map(num_nodes=700, seed=5), 1.0)
+    transition = roadmap.build_transition_matrix(roadmap.generate_default_map(num_nodes=700, seed=5))
     tracemalloc.start()
     try:
         matrixio.write_matrix_pgm(transition, Discard())
@@ -768,7 +768,7 @@ def test_infer_trace_matches_oracle(tmp_path, small_map_path):
     )
     transition, observation = experiment.build_model(experiment.read_graph(small_map_path), 1.0)
     filtered, smoothed, _ = oracle.enumerate_posteriors(
-        transition, observation.dense(), inference.point_mass_belief(4, 1), sequence
+        transition.matrix, observation.dense(), inference.point_mass_belief(4, 1), sequence
     )
     lines = out.read_text().splitlines()[1:]
     rows = [[float(v) for v in line.split(",")[4:]] for line in lines]
@@ -1334,3 +1334,24 @@ def test_package_holds_only_what_the_cli_runs():
         "cli", "experiment", "inference", "matrixio", "roadmap", "sensor"
     ]
     assert not hasattr(matrixio, "read_matrix_csv")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "user-set-2"])
+def test_importing_the_cli_asks_openblas_for_one_thread_unless_set(setting):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import os, roadhmm.cli\n"
+        "threads = [line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    if setting is None:
+        assert done.stdout.split() == ["1", "1"]  # no BLAS worker thread next to the main one
+    else:
+        assert done.stdout.split()[0] == setting

@@ -1,5 +1,4 @@
 import functools
-import mmap
 import tracemalloc
 
 import numpy as np
@@ -64,7 +63,7 @@ def test_inverse_cdf_skips_zero_probability_state_beyond_rounded_down_total():
 def test_largest_uniform_draws_positive_probability_state_on_default_map(sigma):
     transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
     largest = 1.0 - 2.0**-53  # the largest value Generator.random() returns
-    for matrix in (transition, observation.dense()):
+    for matrix in (transition.matrix, observation.dense()):
         ids = experiment.inverse_cdf_sample(
             np.cumsum(matrix, axis=0), np.full(matrix.shape[1], largest)
         )
@@ -129,7 +128,9 @@ def assert_tables_match_dense(graph, sigma, observation=True):
     dense cumsum, and the two transition tables are the same bits."""
     transition = roadmap.build_transition_matrix(graph)
     model = sensor.observation_model(graph, sigma)
-    transition_table, observation_table = experiment.sampling_tables(graph, model)
+    transition_table, observation_table = experiment.sampling_tables(
+        roadmap.transition_model(graph), model
+    )
     assert_column_cdfs_match_dense(transition_table, transition)
     assert_same_cdfs(transition_table, oracle.sampling_table(transition))
     if observation:
@@ -156,7 +157,7 @@ def test_transition_tables_hold_little_beyond_their_output():
     # 12 017 edges at M = 3000: the tables are 3000 x 10 and the build's peak
     # measured 1.3 MiB, against 68.7 MiB for the dense matrix
     graph = roadmap.generate_default_map(num_nodes=3000, seed=0)
-    peak = traced_peak(lambda: experiment.transition_table(graph))
+    peak = traced_peak(lambda: experiment.transition_table(roadmap.transition_model(graph)))
     assert peak <= 2 << 20
 
 
@@ -304,12 +305,12 @@ def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
     else:
         graph, sigma = experiment.read_graph("default"), 2.0
     transition, observation = experiment.build_model(graph, sigma)
-    tables = experiment.sampling_tables(graph, observation)
+    tables = experiment.sampling_tables(transition, observation)
     seeds = [experiment.trial_seed(8, t) for t in range(6)]
     states, measurements = experiment.sample_trajectory(*tables, 5, 60, seeds)
     observation = observation.dense()
     for i, seed in enumerate(seeds):
-        reference = scalar_reference_sample(transition, observation, 5, 60, seed)
+        reference = scalar_reference_sample(transition.matrix, observation, 5, 60, seed)
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
 
 
@@ -413,7 +414,7 @@ def per_trial_reference(config):
     """sample_trajectory + run_smoother + map_estimate, one trial at a time."""
     graph = experiment.read_graph(config.map_source)
     transition, observation = experiment.build_model(graph, config.sigma)
-    tables = experiment.sampling_tables(graph, observation)
+    tables = experiment.sampling_tables(transition, observation)
     prior = inference.point_mass_belief(transition.shape[0], config.initial_state)
     rows = []
     for trial in range(config.trials):
@@ -606,13 +607,12 @@ def traced_peak(run):
 
 
 def test_simulate_trials_holds_at_most_two_model_matrices(tmp_path):
-    # at most half of one: tracemalloc does not see the private mapping that holds
-    # the transition matrix (where it is np.zeros, on Windows, it counts as one);
-    # the observation model is its kernel, totals and confusion entries, and its
-    # sampling tables are M x K with K about 80 (0.32 matrices measured). So one
-    # M x M numpy temporary fails this. The first batch of one step, then two
-    # trials of 50 steps.
-    bound = 0.5 if hasattr(mmap, "MAP_PRIVATE") else 1.5
+    # at most half of one: at M = 1500 the passes take the transition's sparse
+    # product, so no dense transition is built; the observation model is its
+    # kernel, totals and confusion entries, and its sampling tables are M x K
+    # with K about 80 (0.30 matrices measured). So one M x M numpy temporary
+    # fails this. The first batch of one step, then two trials of 50 steps.
+    bound = 0.5
     num_nodes = 1500
     path = tmp_path / "map.json"
     path.write_text(roadmap.save_map(roadmap.generate_default_map(num_nodes=num_nodes, seed=0)))
@@ -647,18 +647,24 @@ def map700(tmp_path_factory):
     return str(path)
 
 
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` that return, from here on: their first arguments."""
+    calls, original = [], getattr(module, name)
+
+    def count(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(args[0])
+        return result
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
 def rejected_below_one_matrix(args, map_path, capsys, monkeypatch):
     """Run ``args`` on ``map_path``: (exit code, stderr, tracemalloc peak as a share
-    of M x M, transition builds). tracemalloc does not see the transition matrix in
-    its private mapping, so only the count shows that the model was not built."""
-    codes, builds = [], []
-    build = roadmap.build_transition_matrix
-
-    def counting(graph):
-        builds.append(graph.num_nodes)
-        return build(graph)
-
-    monkeypatch.setattr(roadmap, "build_transition_matrix", counting)
+    of M x M, model builds). No command builds an M x M array on this map, so only
+    the count shows that the model was not built."""
+    codes, builds = [], counting(monkeypatch, experiment, "build_model")
     peak = traced_peak(lambda: codes.append(cli.main([*args, "--map", map_path])))
     return codes[0], capsys.readouterr().err, peak / (700**2 * 8), len(builds)
 
@@ -733,6 +739,65 @@ def test_every_command_builds_each_model_once_through_build_model(
     assert cli.main(args) == 0
     capsys.readouterr()
     assert len(built) == builds
+
+
+def test_the_transition_entries_are_read_once_per_run(tmp_path, monkeypatch, capsys, map700):
+    entries = counting(monkeypatch, roadmap, "transition_entries")
+    for map_source in ("default", map700):
+        config = ExperimentConfig(initial_state=5, sigma=1.0, steps=5, trials=30, master_seed=2,
+                                  map_source=map_source)
+        starts, run_batch = experiment.simulate_trials(config)
+        assert len(entries) == 1  # the model and both sampling tables take the same entries
+        for start in starts:
+            run_batch(start)
+        assert len(entries) == 1
+        entries.clear()
+        (tmp_path / "meas.txt").write_text("5\n6\n")
+        args = ["infer", "--map", map_source, "--measurements", str(tmp_path / "meas.txt"),
+                "--init-state", "5", "--out", str(tmp_path / "beliefs.csv")]
+        assert cli.main(args) == 0
+        assert len(entries) == 1
+        entries.clear()
+    capsys.readouterr()
+
+
+def test_simulate_and_infer_above_the_crossover_never_build_the_dense_transition(
+    tmp_path, monkeypatch, capsys, map700
+):
+    builds = counting(monkeypatch, roadmap, "build_transition_matrix")
+    (tmp_path / "meas.txt").write_text("5\n6\n7\n")
+    for args in (
+        ["simulate", "--init", "5", "--steps", "20", "--trials", "4", "--out", "sim.csv"],
+        ["replicate-table1", "--trials", "1"],  # the default map: one build per scenario
+        ["infer", "--measurements", "meas.txt", "--init-state", "5", "--out", "beliefs.csv"],
+    ):
+        monkeypatch.chdir(tmp_path)
+        map_args = [] if args[0] == "replicate-table1" else ["--map", map700]
+        assert cli.main([*args, *map_args]) == 0
+        assert len(builds) == (3 if args[0] == "replicate-table1" else 0), args[0]
+        builds.clear()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pgm"])
+def test_export_matrices_still_builds_the_dense_transition_above_the_crossover(
+    tmp_path, monkeypatch, capsys, map700, fmt
+):
+    builds = counting(monkeypatch, roadmap, "build_transition_matrix")
+    prefix = tmp_path / "m"
+    args = ["export-matrices", "--map", map700, "--format", fmt, "--out-prefix", str(prefix)]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    # the bytes of the dense reference build, which knows nothing of the entries
+    matrix = oracle.reference_transition(roadmap.read_map(map700))
+    if fmt == "csv":
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+    else:
+        pixels = np.rint(255.0 * matrix / matrix.max()).astype(int)
+        expected = "P2\n700 700\n255\n" + "".join(
+            " ".join(str(v) for v in row) + "\n" for row in pixels)
+    assert (tmp_path / f"m_transition.{fmt}").read_bytes() == expected.encode()
 
 
 def test_infer_both_holds_two_belief_arrays(tmp_path, default_tables):
@@ -825,7 +890,8 @@ def log_evidence_gaps(graph, drives, sampler_sigma, sigmas):
     1992), and a gap of several standard errors shows which model made y.
     """
     transition = roadmap.build_transition_matrix(graph)
-    tables = experiment.sampling_tables(graph, sensor.observation_model(graph, sampler_sigma))
+    observation = sensor.observation_model(graph, sampler_sigma)
+    tables = experiment.sampling_tables(roadmap.transition_model(graph), observation)
     seeds = [experiment.trial_seed(0, t) for t in range(drives)]
     _, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
@@ -912,7 +978,7 @@ def test_build_model_default_and_file(tmp_path, default_graph):
     graph = experiment.read_graph("default")
     transition, observation = experiment.build_model(graph, 1.0)
     assert graph == default_graph
-    assert_allclose(transition.sum(axis=0), 1.0, atol=1e-12)
+    assert_allclose(transition.matrix.sum(axis=0), 1.0, atol=1e-12)
     assert_allclose(observation.dense().sum(axis=0), 1.0, atol=1e-12)
     path = tmp_path / "map.json"
     path.write_text(roadmap.save_map(default_graph))

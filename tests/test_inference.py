@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from roadhmm import experiment, inference
+from roadhmm import experiment, inference, roadmap
 from roadhmm.inference import InferenceError
 
 # Exact posteriors for the worked 2-state instance, derived by enumerating
@@ -487,6 +487,124 @@ def test_map_estimate_batches_along_state_axis():
     assert np.array_equal(inference.map_estimate(beliefs), [[2, 1, 4], [1, 3, 1]])
     assert np.array_equal(inference.map_estimate(beliefs[:, 1]), [1, 3])
     assert np.array_equal(inference.map_estimate(beliefs[0]), [2, 1, 4])  # an (N, M) prior
+
+
+# ---- the transition product: BLAS below the crossover, padded rows from there on ----
+
+
+@pytest.fixture(scope="module", params=[(700, 5), (3000, 0)], ids=["700-seed5", "3000-seed0"])
+def large_model(request):
+    """(transition, observation, measurements (50, 4)) of a generated map above the crossover."""
+    num_nodes, seed = request.param
+    assert num_nodes >= inference._SPARSE_STATES
+    graph = roadmap.generate_default_map(num_nodes, seed)
+    transition, observation = experiment.build_model(graph, 1.0)
+    tables = experiment.sampling_tables(transition, observation)
+    seeds = [experiment.trial_seed(seed, t) for t in range(4)]
+    _, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
+    return transition, observation, measured
+
+
+def dense_blas(monkeypatch):
+    """Make every map take the BLAS product on the dense A, as maps below the crossover do."""
+    monkeypatch.setattr(inference, "_SPARSE_STATES", math.inf)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+def test_sparse_product_agrees_with_the_dense_blas_reference(monkeypatch, large_model, batch):
+    transition, observation, measured = large_model
+    measured = measured if batch else measured[:, 0]
+    prior = inference.point_mass_belief(transition.shape[0], 5)
+    sparse = inference.run_smoother(transition, observation, measured, prior)
+    dense_blas(monkeypatch)
+    dense = inference.run_smoother(transition.matrix, observation, measured, prior)
+    for got, expected in ((sparse.filtered, dense.filtered), (sparse.smoothed, dense.smoothed)):
+        assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert_allclose(sparse.log_likelihood, dense.log_likelihood, rtol=1e-12)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["A", "A^T"])
+def test_sparse_product_of_a_column_is_the_same_bits_alone_or_in_a_batch(large_model, transpose):
+    transition = large_model[0]
+    product = inference._product(transition, transpose)
+    width = max(experiment.batch_width(50, transition.shape[0]), 3)
+    batch = np.random.default_rng(3).random((transition.shape[0], width))
+    together = product(batch)
+    for i in range(width):
+        assert np.array_equal(product(batch[:, i:i + 1]), together[:, i:i + 1])
+    # the backward pass hands in a transposed view, which gives the same bits
+    assert np.array_equal(product(np.ascontiguousarray(batch.T).T), together)
+
+
+def test_a_dense_transition_above_the_crossover_takes_the_sparse_product(large_model):
+    transition, observation, measured = large_model
+    prior = inference.point_mass_belief(transition.shape[0], 5)
+    model = inference.run_smoother(transition, observation, measured, prior)
+    dense = inference.run_smoother(roadmap.build_transition_matrix(transition), observation,
+                                   measured, prior)
+    assert np.array_equal(model.filtered, dense.filtered)
+    assert np.array_equal(model.smoothed, dense.smoothed)
+
+
+def errors_of_both_products(monkeypatch, run):
+    """The InferenceErrors that ``run()`` raises with the sparse product, then with BLAS."""
+    errors = []
+    for product in ("sparse", "dense"):
+        if product == "dense":
+            dense_blas(monkeypatch)
+        with pytest.raises(InferenceError) as info:
+            run()
+        errors.append((str(info.value), info.value.step, info.value.trial))
+    return errors
+
+
+@pytest.fixture(scope="module")
+def default_model_and_sinks(default_transition, default_observation):
+    """The default model at sigma 1 and ``_SPARSE_STATES`` more states, each its own
+    sink and reading: block-diagonal transition and observation matrices."""
+    extra = inference._SPARSE_STATES
+    blocks = []
+    for matrix in (default_transition, default_observation):
+        padded = np.zeros((105 + extra, 105 + extra))
+        padded[:105, :105] = matrix
+        padded[105:, 105:] = np.eye(extra)
+        blocks.append(padded)
+    return tuple(blocks)
+
+
+def test_sparse_product_raises_at_the_impossible_measurement_where_blas_does(
+    monkeypatch, default_model_and_sinks, default_tables
+):
+    transition, observation = default_model_and_sinks
+    seeds = [experiment.trial_seed(0, t) for t in range(3)]
+    _, measured = experiment.sample_trajectory(*default_tables, 5, 20, seeds)
+    measured[7, 2] = 300  # an extra state's reading: no state of the road map gives it
+    prior = inference.point_mass_belief(transition.shape[0], 5)
+    forward = errors_of_both_products(
+        monkeypatch, lambda: inference.forward_pass(transition, observation, measured, prior))
+    assert forward[0] == forward[1] == ("trial 2: step 8: measurement impossible under model", 8, 2)
+    monkeypatch.undo()
+    backward = errors_of_both_products(
+        monkeypatch, lambda: inference.backward_pass(transition, observation, measured))
+    assert backward[0] == backward[1] == forward[0]
+
+
+def test_sparse_product_raises_at_disjoint_supports_where_blas_does(
+    monkeypatch, default_model_and_sinks, default_observation, default_tables
+):
+    # drive 1130 of the misread drives above: its backward message underflows to 0
+    # on the whole forward support, and it is the batch's second trial (index 1)
+    transition, observation = default_model_and_sinks
+    misread = np.roll(default_observation, 1, axis=1)
+    tables = default_tables[0], oracle.sampling_table(misread)
+    seeds = [experiment.trial_seed(0, t) for t in (0, LOST_BACKWARD_DRIVES[0], 1)]
+    _, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
+    prior = inference.point_mass_belief(transition.shape[0], 5)
+    errors = errors_of_both_products(
+        monkeypatch, lambda: inference.run_smoother(transition, observation, measured, prior))
+    assert errors[0] == errors[1]
+    assert errors[0][0].startswith("trial 1: step ")
+    assert errors[0][0].endswith(": inconsistent forward/backward messages")
 
 
 # ---- map_estimate ----

@@ -266,6 +266,30 @@ def test_transition_entries_keep_zero_weight_edges_and_their_sign():
         assert values.tobytes() == np.array([1.0, -0.0, 1.0, 0.0]).tobytes()
 
 
+@pytest.mark.parametrize(
+    "graph", [SIGNED_ZERO_GRAPH, roadmap.generate_default_map(12, 5), roadmap.generate_default_map()],
+    ids=["signed-zero", "generated12", "default"],
+)
+def test_transition_model_keeps_the_matrix_in_its_entries_and_padded_rows(graph):
+    model = roadmap.transition_model(graph)
+    assert model.shape == (graph.num_nodes, graph.num_nodes)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip((model.rows, model.columns, model.values),
+                               roadmap.transition_entries(graph)))
+    assert model.matrix is model.matrix  # built once, at the first read
+    assert model.matrix.tobytes() == roadmap.build_transition_matrix(graph).tobytes()
+    for (ids, values), matrix in zip(model.padded_rows, (model.matrix, model.matrix.T)):
+        width = max(np.count_nonzero(row) for row in matrix)
+        assert ids.shape == values.shape == (width, graph.num_nodes)
+        for i, row in enumerate(matrix):
+            nonzero = np.flatnonzero(row)  # in column order; signed zeros are no entries
+            k = nonzero.size
+            assert ids[:k, i].tolist() == nonzero.tolist()
+            assert values[:k, i].tobytes() == row[nonzero].tobytes()
+            assert ids[k:, i].tolist() == [0] * (width - k)
+            assert values[k:, i].tobytes() == np.zeros(width - k).tobytes()
+
+
 def test_a_refused_mapping_raises_memory_error_naming_its_size(monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
