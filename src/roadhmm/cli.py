@@ -152,11 +152,15 @@ def _cmd_export_matrices(args) -> int:
     graph = experiment.read_graph(args.map)
     transition, observation = experiment.build_model(graph, args.sigma)
     write = matrixio.write_matrix_csv if args.format == "csv" else matrixio.write_matrix_pgm
-    # the one command that writes the M x M matrices out, and so builds them at any size
-    for name, matrix in (("transition", transition.matrix), ("observation", observation.dense())):
+    # the one command that writes the M x M matrices out, and so builds them at any size,
+    # one at a time: each is built before its file is opened and dropped once it is written
+    for name, build in (("transition", lambda: roadmap.build_transition_matrix(transition)),
+                        ("observation", observation.dense)):
+        matrix = build()
         path = f"{args.out_prefix}_{name}.{args.format}"
         with _output(path) as out:
             write(matrix, out)
+        del matrix
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -695,18 +695,19 @@ def test_write_rows_equals_the_serial_loop_to_a_file_and_to_stdout(tmp_path, cap
 
 @pytest.mark.parametrize("heavy, parent_rows", [("first", 2), ("none", 5), ("last", 7)])
 def test_write_rows_splits_at_half_the_estimated_cost(monkeypatch, heavy, parent_rows):
-    # a nonzero costs ten zeros, so a row of four nonzeros costs 40 and one of
-    # four zeros 4: the parent formats the rows whose running cost stays within
-    # half of the total
+    # a nonzero costs forty zeros, so a row of four nonzeros costs 160 and one
+    # of four zeros 4: the parent formats the rows whose running cost stays
+    # within half of the total
+    assert matrixio._NONZERO_COST == 40
     table = np.zeros((10, 4))
     table[{"first": slice(0, 5), "none": slice(0, 0), "last": slice(5, 10)}[heavy]] = 0.5
-    formatted, format_row = [], matrixio.format_row
-    monkeypatch.setattr(matrixio, "format_row",
-                        lambda row: formatted.append(1) or format_row(row))
+    formatted, format_rows = [], matrixio.format_rows
+    monkeypatch.setattr(matrixio, "format_rows",
+                        lambda prefixes, rows: formatted.extend(prefixes) or format_rows(prefixes, rows))
     out = io.StringIO()
     matrixio.write_rows(out, [(repeat(""), table)])
-    assert out.getvalue() == "".join(format_row(row) + "\n" for row in table)
-    assert len(formatted) == parent_rows  # the helper's calls append in its own memory
+    assert out.getvalue() == "".join(",".join(map(repr, row.tolist())) + "\n" for row in table)
+    assert len(formatted) == parent_rows  # the helper's calls extend its own copy of the list
 
 
 def test_export_observation_diagonal_band(tmp_path):
@@ -1042,15 +1043,15 @@ def test_a_failing_row_write_kills_and_reaps_the_helper(tmp_path, small_map_path
                                                         monkeypatch, error):
     measurements = tmp_path / "meas.txt"
     measurements.write_text("4\n3\n2\n2\n" * 50)
-    parent, format_row = os.getpid(), matrixio.format_row
+    parent, format_rows = os.getpid(), matrixio.format_rows
 
-    def stuck_in_the_helper(row):
+    def stuck_in_the_helper(prefixes, rows):
         if os.getpid() != parent:
             time.sleep(60)  # only a kill ends the helper in time
             raise ValueError("the helper was not killed")
-        return format_row(row)
+        return format_rows(prefixes, rows)
 
-    monkeypatch.setattr(matrixio, "format_row", stuck_in_the_helper)
+    monkeypatch.setattr(matrixio, "format_rows", stuck_in_the_helper)
     monkeypatch.setattr(sys, "stdout", FailingStdout(error))
     start = time.monotonic()
     assert main(infer_args(small_map_path, measurements, "--out", "-")) == cli.EXIT_IO
@@ -1070,15 +1071,15 @@ def test_an_interrupted_row_write_kills_and_reaps_the_helper(tmp_path, small_map
 
 
 #: A command that dies, as a timed-out benchmark child is killed, while its
-#: helper formats rows at 10 ms each; it prints the helper's pid first.
+#: helper formats blocks of 4 rows at 10 ms a row; it prints the helper's pid first.
 ORPHANING_SCRIPT = """
 import os, signal, time
 import numpy as np
 from itertools import repeat
 from roadhmm import matrixio
 
-matrixio._BLOCK_ROWS = 4
-parent, fork, format_row = os.getpid(), os.fork, matrixio.format_row
+matrixio._BLOCK_VALUES = 12
+parent, fork, format_rows = os.getpid(), os.fork, matrixio.format_rows
 
 def fork_and_tell():
     helper = fork()
@@ -1086,13 +1087,14 @@ def fork_and_tell():
         print(helper, flush=True)
     return helper
 
-def slow_row(row):
+def slow_rows(prefixes, rows):
+    assert len(rows) == 4
     if os.getpid() == parent:
         os.kill(parent, signal.SIGKILL)
-    time.sleep(0.01)
-    return format_row(row)
+    time.sleep(0.01 * len(rows))
+    return format_rows(prefixes, rows)
 
-os.fork, matrixio.format_row = fork_and_tell, slow_row
+os.fork, matrixio.format_rows = fork_and_tell, slow_rows
 matrixio.write_rows(open(os.devnull, "w"), [(repeat(""), np.zeros((2000, 3)))])
 """
 
@@ -1111,25 +1113,25 @@ def test_an_orphaned_helper_stops_within_a_block_of_rows():
     assert elapsed < 5, f"the orphaned helper ran on for {elapsed:.1f} s"
 
 
-@pytest.mark.parametrize("failure", ["format_row", "orphaned"])
+@pytest.mark.parametrize("failure", ["format_rows", "orphaned"])
 def test_a_failing_helper_exits_2_naming_it_without_a_traceback(tmp_path, small_map_path,
                                                                capsys, monkeypatch, failure):
     measurements = tmp_path / "meas.txt"
     measurements.write_text("4\n3\n2\n2\n")
-    parent, format_row = os.getpid(), matrixio.format_row
+    parent, format_rows = os.getpid(), matrixio.format_rows
 
-    def fails_in_the_helper(row):
+    def fails_in_the_helper(prefixes, rows):
         if os.getpid() != parent:
             raise ValueError("formatting failed")
-        return format_row(row)
+        return format_rows(prefixes, rows)
 
-    if failure == "format_row":
-        monkeypatch.setattr(matrixio, "format_row", fails_in_the_helper)
+    if failure == "format_rows":
+        monkeypatch.setattr(matrixio, "format_rows", fails_in_the_helper)
     else:  # the helper sees another parent, as it would once this process had died
         monkeypatch.setattr(os, "getppid", lambda: 1)
     out = tmp_path / "beliefs.csv"
     assert main(infer_args(small_map_path, measurements, "--out", str(out))) == cli.EXIT_IO
-    cause = {"format_row": "failed: ValueError: formatting failed",
+    cause = {"format_rows": "failed: ValueError: formatting failed",
              "orphaned": "exited with status 1"}[failure]
     assert capsys.readouterr() == ("", f"I/O error: the row-formatting helper process {cause}\n")
     assert_no_child_left()
@@ -1140,14 +1142,14 @@ def test_out_of_memory_while_formatting_rows_exits_1_in_either_process(
         tmp_path, small_map_path, capsys, monkeypatch, side):
     measurements = tmp_path / "meas.txt"
     measurements.write_text("4\n3\n2\n2\n")
-    parent, format_row = os.getpid(), matrixio.format_row
+    parent, format_rows = os.getpid(), matrixio.format_rows
 
-    def runs_out_of_memory(row):
+    def runs_out_of_memory(prefixes, rows):
         if (os.getpid() != parent) == (side == "helper"):
             out_of_memory()
-        return format_row(row)
+        return format_rows(prefixes, rows)
 
-    monkeypatch.setattr(matrixio, "format_row", runs_out_of_memory)
+    monkeypatch.setattr(matrixio, "format_rows", runs_out_of_memory)
     out = tmp_path / "beliefs.csv"
     assert main(infer_args(small_map_path, measurements, "--out", str(out))) == cli.EXIT_INVALID
     assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 298. GiB for an "

@@ -19,7 +19,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracle  # noqa: E402
-from roadhmm import cli, inference, roadmap  # noqa: E402
+from roadhmm import cli, inference, matrixio, roadmap  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -110,6 +110,14 @@ def test_batch_equals_single_sequences(model):
 # Whatever the measurement file or map JSON holds, main returns 0, 1 or 2 and
 # raises nothing, --out exists exactly when it returns 0, and an "error: line L"
 # message names the line as an editor numbers it.
+
+@settings(PROPERTY, max_examples=500)
+@given(st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=4)))
+def test_format_rows_writes_each_float_as_its_repr(rows):
+    expected = "".join("p," + ",".join(map(repr, row)) + "\n" for row in rows)
+    assert matrixio.format_rows(["p,"] * len(rows), np.array(rows)) == expected
+
 
 CONTRACT = settings(PROPERTY, max_examples=150)
 
