@@ -148,19 +148,41 @@ def _table1(args) -> tuple[list[str], list[str]]:
     return table, csv_lines
 
 
+class _RowBlocks:
+    """The M x M matrix whose rows a..b are ``rows(a, b)``, for ``matrixio`` to read
+    through ``shape``, ``len`` and slices, a block of rows at a time."""
+
+    def __init__(self, m: int, rows):
+        self.shape, self._rows = (m, m), rows
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return self._rows(*block.indices(self.shape[0])[:2])
+
+
+def _transition_rows(transition: roadmap.TransitionModel, a: int, b: int) -> np.ndarray:
+    """Rows a..b of the transition matrix, its entries in those rows scattered into zeros."""
+    inside = (transition.rows >= a) & (transition.rows < b)
+    matrix = np.zeros((b - a, transition.num_nodes))
+    matrix[transition.rows[inside] - a, transition.columns[inside]] = transition.values[inside]
+    return matrix
+
+
 def _cmd_export_matrices(args) -> int:
     graph = experiment.read_graph(args.map)
     transition, observation = experiment.build_model(graph, args.sigma)
     write = matrixio.write_matrix_csv if args.format == "csv" else matrixio.write_matrix_pgm
-    # the one command that writes the M x M matrices out, and so builds them at any size,
-    # one at a time: each is built before its file is opened and dropped once it is written
-    for name, build in (("transition", lambda: roadmap.build_transition_matrix(transition)),
-                        ("observation", observation.dense)):
-        matrix = build()
+    # the one command that writes the M x M matrices out: each is written a block of
+    # rows at a time, built from its model's parts, so neither is ever whole
+    for name, rows in (
+        ("transition", lambda a, b: _transition_rows(transition, a, b)),
+        ("observation", lambda a, b: observation.likelihood_table(np.arange(a, b))[0]),
+    ):
         path = f"{args.out_prefix}_{name}.{args.format}"
         with _output(path) as out:
-            write(matrix, out)
-        del matrix
+            write(_RowBlocks(graph.num_nodes, rows), out)
         print(f"wrote {path}")
     return EXIT_OK
 

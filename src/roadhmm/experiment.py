@@ -182,7 +182,7 @@ def build_model(graph: roadmap.RoadGraph, sigma: float):
     ``transition_entries`` call, and the observation a
     ``sensor.ObservationModel``. The passes build the transition's dense
     ``matrix`` only on a map below the sparse crossover; ``export-matrices``
-    builds it, and the observation's ``dense()``, to write them.
+    writes both a block of rows at a time.
     """
     observation = sensor.observation_model(graph, sigma)
     return roadmap.transition_model(graph), observation

@@ -308,20 +308,28 @@ def _run_steps(steps: Iterable, outgoing: BinaryIO, parent: int) -> int:
     return 0
 
 
-def write_matrix_csv(matrix: np.ndarray, out: TextIO) -> None:
-    """Write one comma-separated line per matrix row."""
-    write_rows(out, [(repeat(""), np.asarray(matrix, dtype=float))])
+def write_matrix_csv(matrix, out: TextIO) -> None:
+    """Write one comma-separated line per matrix row.
+
+    ``matrix`` is an array, or any object with its ``shape`` and ``len`` whose
+    slices are blocks of its rows; it is read a block of rows at a time.
+    """
+    write_rows(out, [(repeat(""), matrix)])
 
 
-def write_matrix_pgm(matrix: np.ndarray, out: TextIO) -> None:
+def write_matrix_pgm(matrix, out: TextIO) -> None:
     """Write a matrix as plain-text grayscale (PGM P2), one image row per line.
 
     Pixels scale by the matrix maximum: round(255 * value / max), so the
-    largest probability is white and zeros are black.
+    largest probability is white and zeros are black. ``matrix`` is read a
+    block of rows at a time, as in ``write_matrix_csv``: once for its maximum,
+    once for its pixels.
     """
-    matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
-    peak = matrix.max()
+    step = _block_rows(matrix)
+    blocks = [slice(a, a + step) for a in range(0, rows, step)]
+    peak = max(np.max(matrix[block]) for block in blocks)
     out.write(f"P2\n{cols} {rows}\n255\n")
-    for row in matrix:  # a row at a time, so no M x M temporary is built
-        out.write(" ".join(map(str, np.rint(255.0 * row / peak).astype(int).tolist())) + "\n")
+    for block in blocks:
+        for row in matrix[block]:
+            out.write(" ".join(map(str, np.rint(255.0 * row / peak).astype(int).tolist())) + "\n")

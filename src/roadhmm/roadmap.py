@@ -9,18 +9,15 @@ weights into the edges' entries of a column-stochastic matrix A with
 
 and ``A @ belief`` is one prediction step. ``TransitionModel`` keeps A in
 those entries, about four per column: the passes predict with its padded
-rows on a large map, and ``build_transition_matrix`` places the entries in
-the dense A, which the passes use on a small map and ``export-matrices``
-writes. The map is directional: the weight of (j -> i) is independent of
-the weight of (i -> j).
+rows on a large map, and with the dense A of ``build_transition_matrix`` on
+a small one. The map is directional: the weight of (j -> i) is independent
+of the weight of (i -> j).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -193,9 +190,9 @@ class TransitionModel:
 
     ``rows``, ``columns`` and ``values`` hold one entry per edge, 0-based and
     sorted by column, then row. ``shape`` is (M, M), so ``np.shape`` reads it
-    without building A. ``matrix`` is the dense A, built by
-    ``build_transition_matrix`` at its first read and kept from then on;
-    ``padded_rows`` are A's and its transpose's rows for a sparse product.
+    without building A. The passes read ``matrix``, the dense A that
+    ``build_transition_matrix`` builds at its first read, below the sparse
+    crossover, and ``padded_rows``, A's and its transpose's rows, above it.
     """
 
     num_nodes: int
@@ -241,42 +238,12 @@ def _padded(m: int, rows: np.ndarray, ids: np.ndarray, values: np.ndarray):
 
 def build_transition_matrix(transition: RoadGraph | TransitionModel) -> np.ndarray:
     """The column-stochastic M x M transition matrix of a graph or of its
-    ``TransitionModel``: the entries in zeros.
-
-    The zeros are a private anonymous mapping, not ``np.zeros``: A has about
-    four entries per column, so most of its 4 KiB pages receive none, and the
-    kernel backs each of those with its one shared zero page. They never count
-    as resident, and the passes read them from cache (at M = 3000, 9 099 of
-    17 579 pages hold an entry). ``np.zeros`` asks for 2 MiB huge pages on a
-    large array, so scattering the entries would fault in every page of it;
-    the mapping is advised against them. Values, dtype, shape and layout are
-    those of ``np.zeros``, which stays the build where ``mmap`` has no
-    ``MAP_PRIVATE`` (Windows).
-    """
+    ``TransitionModel``: the entries scattered into ``np.zeros``."""
     if isinstance(transition, RoadGraph):
         transition = transition_model(transition)
-    matrix = _zeros_on_demand(transition.num_nodes)
+    matrix = np.zeros(transition.shape)
     matrix[transition.rows, transition.columns] = transition.values
     return matrix
-
-
-def _zeros_on_demand(m: int) -> np.ndarray:
-    """A C-contiguous float64 (m, m) array of zeros whose pages are mapped as they are written."""
-    if not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros((m, m))
-    nbytes = m * m * 8
-    try:
-        pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    except OSError as exc:  # the kernel refuses the commitment, as it would np.zeros
-        raise MemoryError(
-            f"Unable to allocate {nbytes:,} bytes for the ({m}, {m}) transition matrix"
-            f" ({exc.strerror})"
-        ) from None
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        # a kernel built without huge pages rejects the advice; its pages are small anyway
-        with contextlib.suppress(OSError):
-            pages.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(pages, dtype=float).reshape(m, m)
 
 
 def generate_default_map(

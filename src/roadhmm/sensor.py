@@ -12,9 +12,9 @@ the model. Matrices are column-stochastic.
 ``ObservationModel`` keeps that matrix in its parts: the kernel, the column
 totals and the base's nonzeros as (row, column, value) triples. It builds
 the likelihood rows of a set of measured ids, and each column's nonzeros a
-block of columns at a time, without an M x M array; ``dense()`` builds the
-whole matrix. Every read computes an entry with the same two rounded
-operations, ``_noisy``, so all reads agree bit for bit.
+block of columns at a time, without an M x M array. Every read computes an
+entry with the same two rounded operations, ``_noisy``, so all reads agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -140,12 +140,6 @@ class ObservationModel:
         base = np.zeros((distinct.size, self.kernel.size))
         base[at[keep], self.columns[keep]] = self.values[keep]
         return _noisy(base, self._grid[distinct], self.totals), slot[ids]
-
-    def dense(self) -> np.ndarray:
-        """The whole M x M matrix, in one array."""
-        base = np.zeros(self.shape)
-        base[self.rows, self.columns] = self.values
-        return _noisy(base, self._grid, self.totals)
 
     def column_entries(self):
         """(width, groups): every column's nonzeros, a block of columns at a time.

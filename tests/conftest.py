@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from roadhmm import experiment, roadmap, sensor
 
 
@@ -21,6 +22,11 @@ def run_trials(config, smoother=True):
     starts, run_batch = experiment.simulate_trials(config, smoother)
     for start in starts:
         yield run_batch(start)
+
+
+def observation_matrix(model):
+    """The M x M matrix of a ``sensor.ObservationModel``: the likelihood rows of every id."""
+    return model.likelihood_table(np.arange(model.shape[0]))[0]
 
 
 @pytest.fixture
@@ -76,7 +82,7 @@ def default_transition(default_graph):
 
 @pytest.fixture(scope="session")
 def default_observation(default_graph):
-    return read_only(sensor.observation_model(default_graph, 1.0).dense())
+    return read_only(oracle.reference_noise(oracle.reference_confusion_base(default_graph), 1.0))
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_random_instance
+from conftest import make_random_instance, observation_matrix
 import oracle
 from roadhmm import experiment, inference, roadmap, sensor
 from roadhmm.cli import main
@@ -158,12 +158,12 @@ def test_criterion_5_stochasticity_and_stability():
     assert np.abs(transition.sum(axis=0) - 1.0).max() <= 1e-12
     assert np.abs(np.bincount(columns, values, graph.num_nodes) - 1.0).max() <= 1e-12
     for sigma in (1.0, 2.0):
-        observation = sensor.observation_model(graph, sigma).dense()
+        observation = observation_matrix(sensor.observation_model(graph, sigma))
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
     model = sensor.observation_model(graph, 1.0)
     tables = experiment.sampling_tables(roadmap.transition_model(graph), model)
-    observation = model.dense()
+    observation = observation_matrix(model)
     _, measurements = experiment.sample_trajectory(*tables, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
     result = inference.run_smoother(transition, observation, measurements, prior)

@@ -2,7 +2,6 @@ import csv
 import errno
 import io
 import json
-import mmap
 import os
 import pkgutil
 import signal
@@ -20,7 +19,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 import roadhmm
-from conftest import run_trials
+from conftest import observation_matrix, run_trials
 from roadhmm import cli, experiment, inference, matrixio, roadmap
 from roadhmm.cli import main
 
@@ -582,7 +581,8 @@ def test_export_csv_text_is_repr_of_each_entry(tmp_path):
     prefix = tmp_path / "default"
     assert main(["export-matrices", "--sigma", "2", "--out-prefix", str(prefix)]) == 0
     transition, observation = experiment.build_model(experiment.read_graph("default"), 2.0)
-    for name, matrix in (("transition", transition.matrix), ("observation", observation.dense())):
+    for name, matrix in (("transition", transition.matrix),
+                         ("observation", observation_matrix(observation))):
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
         assert (tmp_path / f"default_{name}.csv").read_bytes() == expected.encode()
 
@@ -624,10 +624,17 @@ class Discard:
 )
 def test_pgm_text_equals_whole_matrix_reference(generated, sigma):
     transition, observation = experiment.build_model(roadmap.generate_default_map(**generated), sigma)
-    for matrix in (transition.matrix, observation.dense()):
+    for matrix in (transition.matrix, observation_matrix(observation)):
         out = io.StringIO()
         matrixio.write_matrix_pgm(matrix, out)
         assert out.getvalue() == reference_pgm(matrix)
+
+
+def test_pgm_scales_by_the_largest_value_of_any_block_of_rows():
+    matrix = np.linspace(0.0, 1.0, 200 * 200).reshape(200, 200)  # largest in the last block
+    out = io.StringIO()
+    matrixio.write_matrix_pgm(matrix, out)
+    assert out.getvalue() == reference_pgm(matrix)
 
 
 def test_pgm_writes_row_by_row_without_a_matrix_temporary():
@@ -769,7 +776,8 @@ def test_infer_trace_matches_oracle(tmp_path, small_map_path):
     )
     transition, observation = experiment.build_model(experiment.read_graph(small_map_path), 1.0)
     filtered, smoothed, _ = oracle.enumerate_posteriors(
-        transition.matrix, observation.dense(), inference.point_mass_belief(4, 1), sequence
+        transition.matrix, observation_matrix(observation), inference.point_mass_belief(4, 1),
+        sequence
     )
     lines = out.read_text().splitlines()[1:]
     rows = [[float(v) for v in line.split(",")[4:]] for line in lines]
@@ -1292,39 +1300,22 @@ def out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
 
 
-@pytest.mark.parametrize("command", ["validate-map", "simulate"])
+@pytest.mark.parametrize("command", ["validate-map", "simulate", "export-matrices"])
 def test_out_of_memory_exits_1_with_message(tmp_path, small_map_path, capsys, monkeypatch, command):
     out = tmp_path / "x.csv"
     if command == "validate-map":
         monkeypatch.setattr(roadmap, "transition_entries", out_of_memory)
         args = ["validate-map", small_map_path]
-    else:
+    elif command == "simulate":
         monkeypatch.setattr(experiment, "simulate_trials", out_of_memory)
         args = simulate_args(str(out))
+    else:
+        monkeypatch.setattr(experiment, "build_model", out_of_memory)
+        args = ["export-matrices", "--map", small_map_path, "--out-prefix", str(tmp_path / "m")]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 298. GiB for an array with shape (200000, 200000)\n"
-    assert not out.exists()
-
-
-def refused_mapping(*args, **kwargs):
-    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
-
-
-@pytest.mark.parametrize("command", ["simulate", "export-matrices"])
-def test_a_refused_transition_mapping_exits_1_naming_its_size(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(mmap, "mmap", refused_mapping)
-    monkeypatch.chdir(tmp_path)
-    if command == "simulate":
-        args = simulate_args("sim.csv")
-    else:
-        args = ["export-matrices", "--out-prefix", "m"]
-    assert main(args) == 1
-    assert capsys.readouterr().err == (
-        "error: out of memory: Unable to allocate 88,200 bytes for the (105, 105) transition matrix"
-        f" ({os.strerror(errno.ENOMEM)})\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["small.json"]
 
 
 # ---- the package ----

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from conftest import run_trials
+from conftest import observation_matrix, run_trials
 from roadhmm import cli, experiment, inference, roadmap, sensor
 from roadhmm.experiment import ExperimentConfig
 
@@ -63,7 +63,7 @@ def test_inverse_cdf_skips_zero_probability_state_beyond_rounded_down_total():
 def test_largest_uniform_draws_positive_probability_state_on_default_map(sigma):
     transition, observation = experiment.build_model(experiment.read_graph("default"), sigma)
     largest = 1.0 - 2.0**-53  # the largest value Generator.random() returns
-    for matrix in (transition.matrix, observation.dense()):
+    for matrix in (transition.matrix, observation_matrix(observation)):
         ids = experiment.inverse_cdf_sample(
             np.cumsum(matrix, axis=0), np.full(matrix.shape[1], largest)
         )
@@ -134,7 +134,7 @@ def assert_tables_match_dense(graph, sigma, observation=True):
     assert_column_cdfs_match_dense(transition_table, transition)
     assert_same_cdfs(transition_table, oracle.sampling_table(transition))
     if observation:
-        dense = model.dense()
+        dense = observation_matrix(model)
         assert_column_cdfs_match_dense(observation_table, dense)
         assert_column_cdfs_match_dense(oracle.sampling_table(dense), dense)
 
@@ -308,7 +308,7 @@ def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
     tables = experiment.sampling_tables(transition, observation)
     seeds = [experiment.trial_seed(8, t) for t in range(6)]
     states, measurements = experiment.sample_trajectory(*tables, 5, 60, seeds)
-    observation = observation.dense()
+    observation = observation_matrix(observation)
     for i, seed in enumerate(seeds):
         reference = scalar_reference_sample(transition.matrix, observation, 5, 60, seed)
         assert (tuple(states[:, i].tolist()), tuple(measurements[:, i].tolist())) == reference
@@ -783,21 +783,27 @@ def test_simulate_and_infer_above_the_crossover_never_build_the_dense_transition
 def test_export_matrices_still_builds_the_dense_transition_above_the_crossover(
     tmp_path, monkeypatch, capsys, map700, fmt
 ):
+    """The export still writes the bytes of the dense reference builds, which know
+    nothing of the models' parts: it writes each matrix a block of rows at a time,
+    and never calls ``build_transition_matrix``."""
     builds = counting(monkeypatch, roadmap, "build_transition_matrix")
     prefix = tmp_path / "m"
     args = ["export-matrices", "--map", map700, "--format", fmt, "--out-prefix", str(prefix)]
     assert cli.main(args) == 0
     capsys.readouterr()
-    assert len(builds) == 1
-    # the bytes of the dense reference build, which knows nothing of the entries
-    matrix = oracle.reference_transition(roadmap.read_map(map700))
-    if fmt == "csv":
-        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
-    else:
-        pixels = np.rint(255.0 * matrix / matrix.max()).astype(int)
-        expected = "P2\n700 700\n255\n" + "".join(
-            " ".join(str(v) for v in row) + "\n" for row in pixels)
-    assert (tmp_path / f"m_transition.{fmt}").read_bytes() == expected.encode()
+    assert len(builds) == 0
+    graph = roadmap.read_map(map700)
+    for name, matrix in (
+        ("transition", oracle.reference_transition(graph)),
+        ("observation", oracle.reference_noise(oracle.reference_confusion_base(graph), 1.0)),
+    ):
+        if fmt == "csv":
+            expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+        else:
+            pixels = np.rint(255.0 * matrix / matrix.max()).astype(int)
+            expected = "P2\n700 700\n255\n" + "".join(
+                " ".join(str(v) for v in row) + "\n" for row in pixels)
+        assert (tmp_path / f"m_{name}.{fmt}").read_bytes() == expected.encode(), name
 
 
 def test_infer_both_holds_two_belief_arrays(tmp_path, default_tables):
@@ -872,7 +878,7 @@ def test_posterior_predicts_its_own_accuracy_and_catches_a_mismatched_sampler(
     gaps = calibration_gaps(default_transition, default_observation, default_observation)
     assert np.all(np.abs(gaps) < 4), gaps
     # drives whose measurements are sampled at sigma 1.5: measured -22.19 and -12.30
-    misread = sensor.observation_model(default_graph, 1.5).dense()
+    misread = observation_matrix(sensor.observation_model(default_graph, 1.5))
     gaps = calibration_gaps(default_transition, default_observation, misread)
     assert np.all(np.abs(gaps) > 4), gaps
 
@@ -979,7 +985,7 @@ def test_build_model_default_and_file(tmp_path, default_graph):
     transition, observation = experiment.build_model(graph, 1.0)
     assert graph == default_graph
     assert_allclose(transition.matrix.sum(axis=0), 1.0, atol=1e-12)
-    assert_allclose(observation.dense().sum(axis=0), 1.0, atol=1e-12)
+    assert_allclose(observation_matrix(observation).sum(axis=0), 1.0, atol=1e-12)
     path = tmp_path / "map.json"
     path.write_text(roadmap.save_map(default_graph))
     file_graph = experiment.read_graph(str(path))

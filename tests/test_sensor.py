@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from roadhmm import experiment, roadmap, sensor
+from conftest import observation_matrix
+from roadhmm import cli, experiment, matrixio, roadmap, sensor
 
 # Frozen reference values, evaluated directly from the normal density
 # exp(-d^2 / (2 s^2)) / (s sqrt(2 pi)).
@@ -81,7 +83,7 @@ def test_sigma_either_rejected_or_gives_finite_stochastic_matrix(default_graph):
     for k in range(-320, 309):
         sigma = float(f"1e{k}")
         try:
-            out = sensor.observation_model(default_graph, sigma).dense()
+            out = observation_matrix(sensor.observation_model(default_graph, sigma))
         except ValueError as exc:
             assert str(exc).startswith("sigma must be positive and finite")
             assert str(exc).endswith(f"got {sigma}")
@@ -179,17 +181,17 @@ def test_base_equals_per_column_reference(request, graph_fixture):
     assert np.array_equal(scatter(graph), oracle.reference_confusion_base(graph))
 
 
-# ---- the noise, through ObservationModel.dense ----
+# ---- the noise, through the likelihood rows of every id ----
 
 
 def test_noise_single_state_stays_certain():
     graph = roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),))
-    out = sensor.observation_model(graph, 1.0).dense()
+    out = observation_matrix(sensor.observation_model(graph, 1.0))
     assert_allclose(out, [[1.0]], atol=1e-15)
 
 
 def test_noise_worked_five_node_column(chain5_graph):
-    out = sensor.observation_model(chain5_graph, 1.0).dense()
+    out = observation_matrix(sensor.observation_model(chain5_graph, 1.0))
     total = PHI_0_S1 + 2 * PHI_1_S1 + 2 * PHI_2_S1
     assert total == pytest.approx(0.990866, abs=1e-6)
     # frozen from (0.7 + phi(0)) / (1 + total)
@@ -202,7 +204,7 @@ def test_noise_columns_stochastic_for_random_bases():
     for seed in range(20):
         graph = roadmap.generate_default_map(num_nodes=12 + seed, seed=seed)
         for sigma in (0.5, 1.0, 2.0):
-            out = sensor.observation_model(graph, sigma).dense()
+            out = observation_matrix(sensor.observation_model(graph, sigma))
             assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
 
 
@@ -221,7 +223,7 @@ def test_noise_strictly_positive_within_float_range(default_observation):
 def test_noise_zeros_are_base_zeros_where_kernel_underflows(
     default_graph, sigma, zeros, first_zero_distance
 ):
-    out = sensor.observation_model(default_graph, sigma).dense()
+    out = observation_matrix(sensor.observation_model(default_graph, sigma))
     ids = np.arange(1, out.shape[0] + 1)
     kernel = sensor.gaussian_kernel(ids[:, None], ids[None, :], sigma)
     distance = np.abs(ids[:, None] - ids[None, :])
@@ -245,9 +247,9 @@ def test_noise_minimum_entries_grow_with_sigma():
     # sigma < d), so test at M = 30 where minima sit deep in the tail
     for seed in range(20):
         graph = roadmap.generate_default_map(num_nodes=30, seed=seed)
-        previous = sensor.observation_model(graph, 1.0).dense()
+        previous = observation_matrix(sensor.observation_model(graph, 1.0))
         for sigma in (2.0, 3.0):
-            current = sensor.observation_model(graph, sigma).dense()
+            current = observation_matrix(sensor.observation_model(graph, sigma))
             assert np.all(current.min(axis=0) > previous.min(axis=0)), (seed, sigma)
             previous = current
 
@@ -255,7 +257,7 @@ def test_noise_minimum_entries_grow_with_sigma():
 def test_noise_tiny_sigma_sharpens_to_diagonal(default_graph):
     # As sigma -> 0 the density at zero distance diverges, so each column
     # collapses onto its own state rather than back onto the base.
-    out = sensor.observation_model(default_graph, 1e-6).dense()
+    out = observation_matrix(sensor.observation_model(default_graph, 1e-6))
     assert out.diagonal().min() >= 1.0 - 1e-4
     off = out - np.diag(out.diagonal())
     assert off.max() <= 1e-4
@@ -279,7 +281,7 @@ def test_noise_bytes_equal_dense_reference(reference_graphs, name):
     for sigma in (0.5, 1.0, 2.0, 37.0, 1e-6, 1e4, 1e150, 1e-160):
         expected = oracle.reference_noise(base, sigma)
         model = sensor.observation_model(graph, sigma)
-        out = model.dense()
+        out = observation_matrix(model)
         assert out.shape == expected.shape and out.dtype == expected.dtype
         assert np.array_equal(bits(out), bits(expected)), sigma
         table, index = model.likelihood_table(backwards)
@@ -291,17 +293,19 @@ def test_noise_bytes_equal_dense_reference(reference_graphs, name):
 
 
 def test_noise_peak_memory_is_one_matrix(reference_graphs):
-    # export-matrices builds the dense form only to write it: the matrix, and
-    # vectors of M values besides
+    # export-matrices writes the matrix a block of rows at a time: the formatter's
+    # blocks take 0.23 of the matrix's bytes (measured), so building the whole
+    # matrix fails this
     model = sensor.observation_model(reference_graphs["generated700"], 1.0)
-    tracemalloc.start()
-    try:
-        out = model.dense()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (700, 700)
-    assert peak <= 1.1 * out.nbytes
+    rows = cli._RowBlocks(700, lambda a, b: model.likelihood_table(np.arange(a, b))[0])
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            matrixio.write_matrix_csv(rows, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 0.4 * 700 * 700 * 8
 
 
 # ---- ObservationModel ----
@@ -329,7 +333,6 @@ def test_observation_model_reads_equal_the_dense_build_bit_for_bit(model_graphs,
     model = sensor.observation_model(graph, sigma)
     m = graph.num_nodes
     assert model.shape == np.shape(model) == dense.shape
-    assert np.array_equal(bits(model.dense()), bits(dense))
     everything = np.arange(m)
     rng = np.random.default_rng(m)
     some = rng.permutation(m)[: max(1, m // 3)]  # distinct, unsorted
@@ -348,7 +351,7 @@ def test_observation_model_reads_equal_the_dense_build_bit_for_bit(model_graphs,
 def test_observation_model_cases_cover_the_band_shapes(model_graphs):
     def parts(name, sigma):
         model = sensor.observation_model(model_graphs[name], sigma)
-        dense = model.dense()
+        dense = observation_matrix(model)
         ids = np.arange(model.shape[0])
         band = np.abs(ids[:, None] - ids[None, :]) < model.extent
         off_band = np.abs(model.rows - model.columns) >= model.extent
