@@ -162,14 +162,6 @@ class _RowBlocks:
         return self._rows(*block.indices(self.shape[0])[:2])
 
 
-def _transition_rows(transition: roadmap.TransitionModel, a: int, b: int) -> np.ndarray:
-    """Rows a..b of the transition matrix, its entries in those rows scattered into zeros."""
-    inside = (transition.rows >= a) & (transition.rows < b)
-    matrix = np.zeros((b - a, transition.num_nodes))
-    matrix[transition.rows[inside] - a, transition.columns[inside]] = transition.values[inside]
-    return matrix
-
-
 def _cmd_export_matrices(args) -> int:
     graph = experiment.read_graph(args.map)
     transition, observation = experiment.build_model(graph, args.sigma)
@@ -177,7 +169,7 @@ def _cmd_export_matrices(args) -> int:
     # the one command that writes the M x M matrices out: each is written a block of
     # rows at a time, built from its model's parts, so neither is ever whole
     for name, rows in (
-        ("transition", lambda a, b: _transition_rows(transition, a, b)),
+        ("transition", lambda a, b: roadmap.transition_rows(transition, a, b)),
         ("observation", lambda a, b: observation.likelihood_table(np.arange(a, b))[0]),
     ):
         path = f"{args.out_prefix}_{name}.{args.format}"

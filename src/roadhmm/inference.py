@@ -12,20 +12,21 @@ sequence has measurements (T,), a prior (M,) and beliefs (T, M); a batch has
 measurements (T, N), a prior (N, M) or a shared (M,), and beliefs (T, N, M).
 A step of the whole batch is one transition product over (M, N) columns, A @ B
 forward and A^T @ B backward, followed by N column normalizers; one sequence
-runs as the batch of one. The transition is a dense (M, M) matrix or a
-``roadmap.TransitionModel``, and ``_product`` picks the product's kernel by
-the number of states alone. Below ``_SPARSE_STATES`` it is BLAS on the
-dense A, which may round a batch's columns differently in the last bit from
-one column's, so batched beliefs can differ by an ulp. From there on it is a
+runs as the batch of one. The transition is a ``roadmap.TransitionModel``,
+and ``_product`` picks the product's kernel by the number of states alone.
+Below ``_SPARSE_STATES`` it is BLAS on the dense A, the model's ``matrix``,
+which may round a batch's columns differently in the last bit from one
+column's, so batched beliefs can differ by an ulp. From there on it is a
 fixed-order sum over A's padded rows, about four entries each on a road map:
-it costs O(K M) per column instead of O(M^2), never builds the dense A from
-a model, and gives a column's product the same bits alone, in a batch and at
-any BLAS thread count.
+it costs O(K M) per column instead of O(M^2), never builds the dense A, and
+gives a column's product the same bits alone, in a batch and at any BLAS
+thread count.
 
-The observation model is a dense (M, M) matrix or a
-``sensor.ObservationModel``. The passes read its likelihood rows a chunk of
-steps at a time, building the rows of the chunk's distinct measured ids
-once; a chunk's rows take at most 1 MiB, whatever T is.
+The observation model is a ``sensor.ObservationModel``. The passes read its
+likelihood rows a chunk of steps at a time, building the rows of the chunk's
+distinct measured ids once; a chunk's rows take at most 1 MiB, whatever T is.
+The passes read the two models only through ``shape``, ``matrix``,
+``padded_rows`` and ``likelihood_table``.
 
 ``run_smoother`` is the one composition of the passes, and every command
 that infers runs it: the forward pass, then, when smoothing, the backward
@@ -40,8 +41,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-
-from . import roadmap, sensor
 
 #: Bytes of likelihood rows that one chunk of steps may build
 _CHUNK_BYTES = 1 << 20
@@ -152,7 +151,7 @@ def _likelihood(obs, rows: np.ndarray):
         if start is None or not start <= t < start + size:
             table = None  # free the previous chunk's rows first
             start = t - t % size
-            table, index = sensor.likelihood_table(obs, rows[start:start + size])
+            table, index = obs.likelihood_table(rows[start:start + size])
         return table[index[t - start]]
 
     return at
@@ -161,22 +160,15 @@ def _likelihood(obs, rows: np.ndarray):
 def _product(A, transpose: bool):
     """The transition product B -> A @ B, or A^T @ B with ``transpose``, of (M, N) columns B.
 
-    ``A`` is a dense (M, M) matrix or a ``roadmap.TransitionModel``. Below
-    ``_SPARSE_STATES`` states the product is BLAS on the dense A, the model's
-    ``matrix``. From there on it sums A's padded rows: for k = 0..K-1, one
-    gather of B's rows by the k-th entry ids, times the k-th entry values,
-    added in k order into one (M, N) total. Each column's sum is then a fixed
-    sequence of elementwise operations, and a padding term adds 0.0. A dense
-    A of that size is read into its nonzero entries first.
+    ``A`` is a ``roadmap.TransitionModel``. Below ``_SPARSE_STATES`` states
+    the product is BLAS on the dense A, the model's ``matrix``. From there on
+    it sums A's padded rows: for k = 0..K-1, one gather of B's rows by the
+    k-th entry ids, times the k-th entry values, added in k order into one
+    (M, N) total. Each column's sum is then a fixed sequence of elementwise
+    operations, and a padding term adds 0.0.
     """
-    m = np.shape(A)[0]
-    if m < _SPARSE_STATES:
-        dense = A.matrix if isinstance(A, roadmap.TransitionModel) else np.asarray(A, dtype=float)
-        return partial(np.matmul, dense.T if transpose else dense)
-    if not isinstance(A, roadmap.TransitionModel):
-        A = np.asarray(A, dtype=float)
-        columns, rows = np.nonzero(A.T)  # sorted by column, then row
-        A = roadmap.TransitionModel(m, rows, columns, A[rows, columns])
+    if np.shape(A)[0] < _SPARSE_STATES:
+        return partial(np.matmul, A.matrix.T if transpose else A.matrix)
     ids, values = A.padded_rows[transpose]
     values = values[:, :, None]  # broadcast over the N columns
 

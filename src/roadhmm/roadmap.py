@@ -8,10 +8,11 @@ weights into the edges' entries of a column-stochastic matrix A with
     A[i - 1, j - 1] = P(next = i | current = j),
 
 and ``A @ belief`` is one prediction step. ``TransitionModel`` keeps A in
-those entries, about four per column: the passes predict with its padded
-rows on a large map, and with the dense A of ``build_transition_matrix`` on
-a small one. The map is directional: the weight of (j -> i) is independent
-of the weight of (i -> j).
+those entries, about four per column, and is the one form of A that the
+passes take: they predict with its padded rows on a large map, and with its
+dense ``matrix`` on a small one. ``transition_rows`` scatters any block of
+A's rows into zeros. The map is directional: the weight of (j -> i) is
+independent of the weight of (i -> j).
 """
 
 from __future__ import annotations
@@ -236,14 +237,17 @@ def _padded(m: int, rows: np.ndarray, ids: np.ndarray, values: np.ndarray):
     return padded_ids, padded_values
 
 
-def build_transition_matrix(transition: RoadGraph | TransitionModel) -> np.ndarray:
-    """The column-stochastic M x M transition matrix of a graph or of its
-    ``TransitionModel``: the entries scattered into ``np.zeros``."""
-    if isinstance(transition, RoadGraph):
-        transition = transition_model(transition)
-    matrix = np.zeros(transition.shape)
-    matrix[transition.rows, transition.columns] = transition.values
+def transition_rows(transition: TransitionModel, a: int, b: int) -> np.ndarray:
+    """Rows a..b of the transition matrix, its entries in those rows scattered into zeros."""
+    inside = (transition.rows >= a) & (transition.rows < b)
+    matrix = np.zeros((b - a, transition.num_nodes))
+    matrix[transition.rows[inside] - a, transition.columns[inside]] = transition.values[inside]
     return matrix
+
+
+def build_transition_matrix(transition: TransitionModel) -> np.ndarray:
+    """The column-stochastic M x M transition matrix of a ``TransitionModel``: all its rows."""
+    return transition_rows(transition, 0, transition.num_nodes)
 
 
 def generate_default_map(

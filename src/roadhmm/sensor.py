@@ -186,11 +186,3 @@ def observation_model(graph: RoadGraph, sigma: float) -> ObservationModel:
     """The graph's observation model at ``sigma``; raises on a bad sigma."""
     kernel, totals, extent = _noise(graph.num_nodes, sigma)
     return ObservationModel(kernel, totals, extent, *confusion_entries(graph))
-
-
-def likelihood_table(observation, ids):
-    """(table, index) with ``table[index]`` the rows ``ids`` (0-based, any shape)
-    of an ObservationModel or of a dense matrix, which is its own table."""
-    if isinstance(observation, ObservationModel):
-        return observation.likelihood_table(ids)
-    return np.asarray(observation, dtype=float), np.asarray(ids, dtype=np.intp)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
-from roadhmm import experiment, roadmap, sensor
+from roadhmm import experiment, inference, roadmap, sensor
 
 
 def make_random_instance(rng, num_states, num_steps):
@@ -22,6 +22,11 @@ def run_trials(config, smoother=True):
     starts, run_batch = experiment.simulate_trials(config, smoother)
     for start in starts:
         yield run_batch(start)
+
+
+def transition_matrix(graph):
+    """The M x M transition matrix of a graph: ``build_transition_matrix`` of its model."""
+    return roadmap.build_transition_matrix(roadmap.transition_model(graph))
 
 
 def observation_matrix(model):
@@ -77,12 +82,32 @@ def read_only(array):
 
 @pytest.fixture(scope="session")
 def default_transition(default_graph):
-    return read_only(roadmap.build_transition_matrix(default_graph))
+    return read_only(transition_matrix(default_graph))
 
 
 @pytest.fixture(scope="session")
 def default_observation(default_graph):
     return read_only(oracle.reference_noise(oracle.reference_confusion_base(default_graph), 1.0))
+
+
+@pytest.fixture(scope="session")
+def default_model(default_graph):
+    """The default map's (transition, observation) models at sigma 1, as every command builds them."""
+    return experiment.build_model(default_graph, 1.0)
+
+
+@pytest.fixture(scope="session")
+def default_model_and_sinks(default_transition, default_observation):
+    """The default model at sigma 1 and ``_SPARSE_STATES`` more states, each its own
+    sink and reading: block-diagonal transition and observation matrices."""
+    extra = inference._SPARSE_STATES
+    blocks = []
+    for matrix in (default_transition, default_observation):
+        padded = np.zeros((105 + extra, 105 + extra))
+        padded[:105, :105] = matrix
+        padded[105:, 105:] = np.eye(extra)
+        blocks.append(read_only(padded))
+    return tuple(blocks)
 
 
 @pytest.fixture(scope="session")

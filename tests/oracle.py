@@ -10,14 +10,16 @@ M x M observation matrix, built with a per-column loop and a full distance
 grid, independently of ``sensor.ObservationModel``, and
 ``reference_transition(graph)`` the dense transition matrix, built without
 its edge entries. ``sampling_table(matrix)`` gives a dense matrix's sampling
-table, for the tests that sample from a hand-built model.
+table, for the tests that sample from a hand-built model, and
+``models(transition, observation)`` gives two dense matrices as the models
+that the passes take.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from roadhmm import experiment, sensor
+from roadhmm import experiment, roadmap, sensor
 
 DEFAULT_MAX_PATHS = 10_000_000
 _CHUNK = 1 << 18
@@ -146,10 +148,29 @@ def reference_transition(graph):
     return weights / weights.sum(axis=0)
 
 
-def sampling_table(matrix):
-    """``experiment.column_cdfs`` of a dense column-stochastic matrix, from its
-    nonzeros; ``nonzero`` of the transpose sorts them by column, then row."""
+def _entries(matrix):
+    """(rows, columns, values) of a dense matrix's nonzeros; ``nonzero`` of the
+    transpose sorts them by column, then row."""
     matrix = np.asarray(matrix, dtype=float)
     columns, rows = np.nonzero(matrix.T)
+    return rows, columns, matrix[rows, columns]
+
+
+def sampling_table(matrix):
+    """``experiment.column_cdfs`` of a dense column-stochastic matrix, from its nonzeros."""
+    rows, columns, values = _entries(matrix)
     width = int(np.bincount(columns).max())
-    return experiment.column_cdfs(matrix.shape[1], width, [(rows, columns, matrix[rows, columns])])
+    return experiment.column_cdfs(np.shape(matrix)[1], width, [(rows, columns, values)])
+
+
+def models(transition, observation):
+    """(``roadmap.TransitionModel``, ``sensor.ObservationModel``) of two dense
+    column-stochastic matrices, each kept in its nonzeros: the models that the
+    passes take.
+
+    The observation model gets a zero kernel and unit totals, so every entry
+    it reads is (b + 0.0) / 1.0 == b, the dense entry itself.
+    """
+    m, n = len(transition), len(observation)
+    return (roadmap.TransitionModel(m, *_entries(transition)),
+            sensor.ObservationModel(np.zeros(n), np.ones(n), 1, *_entries(observation)))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_random_instance, observation_matrix
+from conftest import make_random_instance, observation_matrix, transition_matrix
 import oracle
 from roadhmm import experiment, inference, roadmap, sensor
 from roadhmm.cli import main
@@ -77,7 +77,7 @@ def table1_rows():
 def test_criterion_1_oracle_equivalence(oracle_instances):
     start = time.perf_counter()
     for transition, observation, initial, measurements in oracle_instances:
-        result = inference.run_smoother(transition, observation, measurements, initial)
+        result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
         filtered, smoothed, evidence = oracle.enumerate_posteriors(
             transition, observation, initial, measurements
         )
@@ -101,7 +101,7 @@ def test_criterion_2_worked_example(two_state):
     assert_allclose(smoothed_ref, [[0.68141, 0.31859], [0.62958, 0.37042]], atol=1e-4)
     assert evidence_ref == pytest.approx(0.2373, abs=1e-4)
 
-    result = inference.run_smoother(transition, observation, measurements, initial)
+    result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
     assert_allclose(result.filtered, [[0.74038, 0.25962], [0.62958, 0.37042]], atol=1e-4)
     assert_allclose(result.smoothed, [[0.68141, 0.31859], [0.62958, 0.37042]], atol=1e-4)
     assert math.exp(result.log_likelihood) == pytest.approx(0.2373, abs=1e-4)
@@ -130,7 +130,7 @@ def test_criterion_3_table1_qualitative(table1_rows):
 @criterion(4, "smoothed[T] equals filtered[T] within 1e-12 on every instance")
 def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
     for transition, observation, initial, measurements in oracle_instances:
-        result = inference.run_smoother(transition, observation, measurements, initial)
+        result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
         assert np.abs(result.smoothed[-1] - result.filtered[-1]).max() <= 1e-12
 
     rows, _ = table1_rows
@@ -153,17 +153,16 @@ def test_criterion_4_final_step_agreement(oracle_instances, table1_rows):
 @criterion(5, "stochastic matrices, unit belief sums, finite at T=10000 / M=105")
 def test_criterion_5_stochasticity_and_stability():
     graph = roadmap.generate_default_map()
-    transition = roadmap.build_transition_matrix(graph)
+    transition = roadmap.transition_model(graph)
     _, columns, values = sensor.confusion_entries(graph)
-    assert np.abs(transition.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(roadmap.build_transition_matrix(transition).sum(axis=0) - 1.0).max() <= 1e-12
     assert np.abs(np.bincount(columns, values, graph.num_nodes) - 1.0).max() <= 1e-12
     for sigma in (1.0, 2.0):
         observation = observation_matrix(sensor.observation_model(graph, sigma))
         assert np.abs(observation.sum(axis=0) - 1.0).max() <= 1e-12
 
-    model = sensor.observation_model(graph, 1.0)
-    tables = experiment.sampling_tables(roadmap.transition_model(graph), model)
-    observation = observation_matrix(model)
+    observation = sensor.observation_model(graph, 1.0)
+    tables = experiment.sampling_tables(transition, observation)
     _, measurements = experiment.sample_trajectory(*tables, 5, 10_000, seed=12345)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
     result = inference.run_smoother(transition, observation, measurements, prior)
@@ -210,7 +209,7 @@ def test_criterion_7_observation_diagonal(tmp_path):
 
 @criterion(8, "100k single-step samples match the transition column (99% band)")
 def test_criterion_8_sampling_statistics():
-    transition = roadmap.build_transition_matrix(roadmap.generate_default_map())
+    transition = transition_matrix(roadmap.generate_default_map())
     state = 5
     column = transition[:, state - 1]
     cdf = np.cumsum(column)

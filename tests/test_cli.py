@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 import roadhmm
-from conftest import observation_matrix, run_trials
+from conftest import observation_matrix, run_trials, transition_matrix
 from roadhmm import cli, experiment, inference, matrixio, roadmap
 from roadhmm.cli import main
 
@@ -569,7 +569,7 @@ def test_export_csv_round_trips_exactly(tmp_path, small_map_path):
     prefix = str(tmp_path / "small")
     assert main(["export-matrices", "--map", small_map_path, "--out-prefix", prefix]) == 0
     graph = roadmap.load_map(Path(small_map_path).read_text())
-    transition = roadmap.build_transition_matrix(graph)
+    transition = transition_matrix(graph)
     reimported = np.loadtxt(f"{prefix}_transition.csv", delimiter=",", ndmin=2)
     assert np.array_equal(reimported, transition)
     observation = np.loadtxt(f"{prefix}_observation.csv", delimiter=",", ndmin=2)
@@ -638,7 +638,7 @@ def test_pgm_scales_by_the_largest_value_of_any_block_of_rows():
 
 
 def test_pgm_writes_row_by_row_without_a_matrix_temporary():
-    transition = roadmap.build_transition_matrix(roadmap.generate_default_map(num_nodes=700, seed=5))
+    transition = transition_matrix(roadmap.generate_default_map(num_nodes=700, seed=5))
     tracemalloc.start()
     try:
         matrixio.write_matrix_pgm(transition, Discard())

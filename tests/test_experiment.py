@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from conftest import observation_matrix, run_trials
+from conftest import observation_matrix, run_trials, transition_matrix
 from roadhmm import cli, experiment, inference, roadmap, sensor
 from roadhmm.experiment import ExperimentConfig
 
@@ -126,7 +126,7 @@ def assert_column_cdfs_match_dense(table, matrix):
 def assert_tables_match_dense(graph, sigma, observation=True):
     """``sampling_tables`` and the oracle's tables of the dense matrices all match the
     dense cumsum, and the two transition tables are the same bits."""
-    transition = roadmap.build_transition_matrix(graph)
+    transition = transition_matrix(graph)
     model = sensor.observation_model(graph, sigma)
     transition_table, observation_table = experiment.sampling_tables(
         roadmap.transition_model(graph), model
@@ -402,7 +402,8 @@ def test_perfect_sensor_filter_is_always_right(default_transition, default_table
         states, measurements = experiment.sample_trajectory(
             *tables, 5, 30, experiment.trial_seed(0, trial)
         )
-        result = inference.run_smoother(default_transition, identity, measurements, prior)
+        result = inference.run_smoother(*oracle.models(default_transition, identity), measurements,
+                                        prior)
         estimates = tuple(inference.map_estimate(b) for b in result.filtered)
         assert experiment.accuracy(states, estimates) == 1.0
 
@@ -858,12 +859,13 @@ def calibration_gaps(transition, observation, sampler_observation):
     """
     prior = inference.point_mass_belief(transition.shape[0], 5)
     tables = oracle.sampling_table(transition), oracle.sampling_table(sampler_observation)
+    models = oracle.models(transition, observation)
     differences = ([], [])
     for start in range(0, 2000, 250):
         seeds = [experiment.trial_seed(0, t) for t in range(start, start + 250)]
         states, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
-        forward = inference.forward_pass(transition, observation, measured, prior)
-        backward = inference.backward_pass(transition, observation, measured)
+        forward = inference.forward_pass(*models, measured, prior)
+        backward = inference.backward_pass(*models, measured)
         for d, beliefs in zip(differences, (forward.vectors, inference.smooth(forward, backward))):
             hits = inference.map_estimate(beliefs) == states
             d.append(hits.mean(axis=0) - beliefs.max(axis=-1).mean(axis=0))
@@ -895,9 +897,9 @@ def log_evidence_gaps(graph, drives, sampler_sigma, sigmas):
     log p(y | other) is a KL divergence, so it is >= 0 (Wald; for HMMs, Leroux
     1992), and a gap of several standard errors shows which model made y.
     """
-    transition = roadmap.build_transition_matrix(graph)
+    transition = roadmap.transition_model(graph)
     observation = sensor.observation_model(graph, sampler_sigma)
-    tables = experiment.sampling_tables(roadmap.transition_model(graph), observation)
+    tables = experiment.sampling_tables(transition, observation)
     seeds = [experiment.trial_seed(0, t) for t in range(drives)]
     _, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
     prior = inference.point_mass_belief(graph.num_nodes, 5)
@@ -953,18 +955,15 @@ def fixed_lag_estimates(transition, observation, measured, forward, lag):
     return inference.map_estimate(beliefs)
 
 
-def test_fixed_lag_estimates_run_from_the_filter_to_the_smoother(
-    default_transition, default_observation
-):
+def test_fixed_lag_estimates_run_from_the_filter_to_the_smoother(default_model, default_tables):
     # 1000 drives on the default map, init 5, sigma 1, T 50, seeds trial_seed(0, t),
     # 250 at a time; lag 5 measured 99.954 % agreement with the full smoother
-    transition, observation, steps = default_transition, default_observation, 50
+    (transition, observation), steps = default_model, 50
     prior = inference.point_mass_belief(transition.shape[0], 5)
-    tables = oracle.sampling_table(transition), oracle.sampling_table(observation)
     agree = total = 0
     for start in range(0, 1000, 250):
         seeds = [experiment.trial_seed(0, t) for t in range(start, start + 250)]
-        _, measured = experiment.sample_trajectory(*tables, 5, steps, seeds)
+        _, measured = experiment.sample_trajectory(*default_tables, 5, steps, seeds)
         forward = inference.forward_pass(transition, observation, measured, prior)
         filtered = inference.map_estimate(forward.vectors)
         backward = inference.backward_pass(transition, observation, measured)

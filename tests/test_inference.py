@@ -47,7 +47,7 @@ def filter_step(
 
 def run_filter(A, obs, measurements, initial) -> tuple[np.ndarray, float | np.ndarray]:
     """Filter beliefs after each measurement plus log p(y_1..y_T)."""
-    messages = inference.forward_pass(A, obs, measurements, initial)
+    messages = inference.forward_pass(*oracle.models(A, obs), measurements, initial)
     return messages.vectors, messages.log_scale_factors.sum(axis=0)
 
 
@@ -124,14 +124,15 @@ def test_forward_pass_equals_run_filter(random_instance):
         beliefs, log_likelihood = run_filter(
             transition, observation, measurements, initial
         )
-        messages = inference.forward_pass(transition, observation, measurements, initial)
+        messages = inference.forward_pass(*oracle.models(transition, observation),
+                                          measurements, initial)
         assert np.abs(messages.vectors - beliefs).max() <= 1e-12
         assert messages.log_scale_factors.sum() == pytest.approx(log_likelihood, abs=1e-12)
 
 
 def test_forward_pass_cumulative_factor_is_log_evidence(two_state):
     transition, observation, initial, measurements = two_state
-    messages = inference.forward_pass(transition, observation, measurements, initial)
+    messages = inference.forward_pass(*oracle.models(transition, observation), measurements, initial)
     assert prefix_logs(messages)[-1] == pytest.approx(math.log(EVIDENCE), abs=1e-12)
 
 
@@ -140,14 +141,14 @@ def test_forward_pass_uniform_model_stays_uniform():
     transition = np.full((m, m), 1.0 / m)
     observation = np.full((m, m), 1.0 / m)
     messages = inference.forward_pass(
-        transition, observation, (1, 3, 2, 4), np.full(m, 1.0 / m)
+        *oracle.models(transition, observation), (1, 3, 2, 4), np.full(m, 1.0 / m)
     )
     assert_allclose(messages.vectors, np.full((4, m), 1.0 / m), atol=1e-15)
 
 
 def test_forward_pass_single_step_equals_filter_step(two_state):
     transition, observation, initial, _ = two_state
-    messages = inference.forward_pass(transition, observation, (1,), initial)
+    messages = inference.forward_pass(*oracle.models(transition, observation), (1,), initial)
     posterior, normalizer = filter_step(initial, transition, observation[0])
     assert_allclose(messages.vectors[0], posterior, atol=1e-15)
     assert messages.log_scale_factors[0] == pytest.approx(math.log(normalizer), abs=1e-12)
@@ -156,7 +157,7 @@ def test_forward_pass_single_step_equals_filter_step(two_state):
 def test_forward_pass_matches_unscaled_recursion(random_instance):
     rng = np.random.default_rng(29)
     transition, observation, initial, measurements = random_instance(rng, 4, 6)
-    messages = inference.forward_pass(transition, observation, measurements, initial)
+    messages = inference.forward_pass(*oracle.models(transition, observation), measurements, initial)
     alpha = initial.copy()
     for t, y in enumerate(measurements):
         alpha = observation[y - 1] * (transition @ alpha)
@@ -169,14 +170,14 @@ def test_forward_pass_matches_unscaled_recursion(random_instance):
 
 def test_backward_pass_worked_example(two_state):
     transition, observation, _, measurements = two_state
-    messages = inference.backward_pass(transition, observation, measurements)
+    messages = inference.backward_pass(*oracle.models(transition, observation), measurements)
     assert_allclose(messages.vectors[-1], [0.5, 0.5])
     reconstructed = messages.vectors[0] * math.exp(suffix_logs(messages)[0])
     assert_allclose(reconstructed, [0.42, 0.56], atol=1e-12)
 
 
 def test_backward_pass_empty():
-    messages = inference.backward_pass(np.eye(3), np.eye(3), ())
+    messages = inference.backward_pass(*oracle.models(np.eye(3), np.eye(3)), ())
     assert messages.vectors.shape[0] == 0
 
 
@@ -184,14 +185,14 @@ def test_backward_pass_uniform_model_stays_uniform():
     m = 5
     transition = np.full((m, m), 1.0 / m)
     observation = np.full((m, m), 1.0 / m)
-    messages = inference.backward_pass(transition, observation, (2, 5, 1))
+    messages = inference.backward_pass(*oracle.models(transition, observation), (2, 5, 1))
     assert_allclose(messages.vectors, np.full((3, m), 1.0 / m), atol=1e-15)
 
 
 def test_backward_pass_matches_unscaled_recursion(random_instance):
     rng = np.random.default_rng(31)
     transition, observation, _, measurements = random_instance(rng, 4, 6)
-    messages = inference.backward_pass(transition, observation, measurements)
+    messages = inference.backward_pass(*oracle.models(transition, observation), measurements)
     suffixes = suffix_logs(messages)
     beta = np.ones(4)
     for t in range(len(measurements) - 1, -1, -1):
@@ -205,8 +206,9 @@ def test_backward_pass_matches_unscaled_recursion(random_instance):
 
 def test_smooth_worked_example(two_state):
     transition, observation, initial, measurements = two_state
-    forward = inference.forward_pass(transition, observation, measurements, initial)
-    backward = inference.backward_pass(transition, observation, measurements)
+    models = oracle.models(transition, observation)
+    forward = inference.forward_pass(*models, measurements, initial)
+    backward = inference.backward_pass(*models, measurements)
     smoothed = inference.smooth(forward, backward)
     assert_allclose(smoothed, [SMOOTHED_1, FILTERED_2], atol=1e-12)
     assert_allclose(smoothed, [[0.68141, 0.31859], [0.62958, 0.37042]], atol=1e-4)
@@ -219,14 +221,15 @@ def test_smooth_final_step_equals_filter(random_instance):
         m = int(rng.integers(2, 12))
         t = int(rng.integers(1, 30))
         transition, observation, initial, measurements = random_instance(rng, m, t)
-        result = inference.run_smoother(transition, observation, measurements, initial)
+        result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
         assert np.abs(result.smoothed[-1] - result.filtered[-1]).max() <= 1e-12
 
 
 def test_smooth_rejects_mismatched_messages(two_state):
     transition, observation, initial, measurements = two_state
-    forward = inference.forward_pass(transition, observation, measurements, initial)
-    backward = inference.backward_pass(transition, observation, (1,))
+    models = oracle.models(transition, observation)
+    forward = inference.forward_pass(*models, measurements, initial)
+    backward = inference.backward_pass(*models, (1,))
     with pytest.raises(ValueError, match="mismatch"):
         inference.smooth(forward, backward)
 
@@ -276,15 +279,15 @@ LOST_BACKWARD_DRIVES = [1130, 2941, 3496, 3993]
     ],
 )
 def test_smoother_agrees_with_log_domain_reference_on_misread_drives(
-    default_transition, default_observation, default_tables, trial
+    default_model, default_transition, default_observation, default_tables, trial
 ):
     misread = np.roll(default_observation, 1, axis=1)
     seed = experiment.trial_seed(0, trial)
     tables = default_tables[0], oracle.sampling_table(misread)
     _, measured = experiment.sample_trajectory(*tables, 5, 50, seed)
     prior = inference.point_mass_belief(105, 5)
-    forward = inference.forward_pass(default_transition, default_observation, measured, prior)
-    backward = inference.backward_pass(default_transition, default_observation, measured)
+    forward = inference.forward_pass(*default_model, measured, prior)
+    backward = inference.backward_pass(*default_model, measured)
     tiny = np.finfo(float).tiny
     underflows = np.einsum("ij,ij->i", forward.vectors, backward.vectors) < tiny
     assert underflows.any() == (trial >= 20)
@@ -307,8 +310,9 @@ def test_smooth_writes_into_the_backward_messages(random_instance, batch):
     transition, observation, initial, measurements = random_instance(rng, 60, 3000)
     if batch:
         measurements = np.stack([measurements] * batch, axis=1)
-    forward = inference.forward_pass(transition, observation, measurements, initial)
-    backward = inference.backward_pass(transition, observation, measurements)
+    models = oracle.models(transition, observation)
+    forward = inference.forward_pass(*models, measurements, initial)
+    backward = inference.backward_pass(*models, measurements)
     expected = forward.vectors * backward.vectors
     expected /= expected.sum(axis=-1, keepdims=True)
     tracemalloc.start()
@@ -330,8 +334,9 @@ def test_constancy_of_evidence(two_state, random_instance):
         for _ in range(10)
     ]
     for transition, observation, initial, measurements in instances:
-        forward = inference.forward_pass(transition, observation, measurements, initial)
-        backward = inference.backward_pass(transition, observation, measurements)
+        models = oracle.models(transition, observation)
+        forward = inference.forward_pass(*models, measurements, initial)
+        backward = inference.backward_pass(*models, measurements)
         assert np.abs(forward.vectors.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(backward.vectors.sum(axis=1) - 1.0).max() <= 1e-12
         log_evidence = float(forward.log_scale_factors.sum())
@@ -347,7 +352,7 @@ def test_constancy_of_evidence(two_state, random_instance):
 
 def test_worked_example_common_value(two_state):
     transition, observation, initial, measurements = two_state
-    forward = inference.forward_pass(transition, observation, measurements, initial)
+    forward = inference.forward_pass(*oracle.models(transition, observation), measurements, initial)
     assert forward.log_scale_factors.sum() == pytest.approx(math.log(0.2373), abs=1e-12)
 
 
@@ -355,7 +360,7 @@ def test_run_smoother_long_sequence_stays_finite(random_instance):
     rng = np.random.default_rng(5)
     transition, observation, initial, _ = random_instance(rng, 15, 1)
     measurements = tuple(int(v) for v in rng.integers(1, 16, size=2000))
-    result = inference.run_smoother(transition, observation, measurements, initial)
+    result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
     assert np.isfinite(result.filtered).all()
     assert np.isfinite(result.smoothed).all()
     assert math.isfinite(result.log_likelihood)
@@ -385,11 +390,11 @@ def vector_backward(transition, observation, measurements):
 
 
 def test_single_sequence_is_bit_identical_to_vector_recursion(
-    default_transition, default_observation, default_tables
+    default_model, default_transition, default_observation, default_tables
 ):
     _, measurements = experiment.sample_trajectory(*default_tables, 5, 2000, seed=4)
     prior = inference.point_mass_belief(105, 5)
-    result = inference.run_smoother(default_transition, default_observation, measurements, prior)
+    result = inference.run_smoother(*default_model, measurements, prior)
     filtered = vector_forward(default_transition, default_observation, measurements, prior)
     backward = vector_backward(default_transition, default_observation, measurements)
     product = filtered * backward
@@ -404,13 +409,14 @@ def test_run_smoother_without_the_smoother_is_the_forward_pass(random_instance, 
     transition, observation, initial, measurements = random_instance(rng, 6, 30)
     if batched:
         measurements = rng.integers(1, 7, size=(30, 4))
-    forward = inference.forward_pass(transition, observation, measurements, initial)
+    models = oracle.models(transition, observation)
+    forward = inference.forward_pass(*models, measurements, initial)
 
     def no_backward_pass(*args, **kwargs):
         raise AssertionError("backward_pass called")
 
     monkeypatch.setattr(inference, "backward_pass", no_backward_pass)
-    result = inference.run_smoother(transition, observation, measurements, initial, smoother=False)
+    result = inference.run_smoother(*models, measurements, initial, smoother=False)
     assert result.smoothed is None
     assert result.filtered.shape == ((30, 4, 6) if batched else (30, 6))
     assert np.array_equal(result.filtered, forward.vectors)
@@ -421,15 +427,15 @@ def test_run_smoother_without_the_smoother_is_the_forward_pass(random_instance, 
 
 def test_batch_matches_single_sequences(random_instance):
     rng = np.random.default_rng(41)
-    transition, observation, _, _ = random_instance(rng, 6, 1)
+    models = oracle.models(*random_instance(rng, 6, 1)[:2])
     measurements = rng.integers(1, 7, size=(30, 5))
     priors = rng.random((6, 5)).T + 0.05
     priors /= priors.sum(axis=1, keepdims=True)
-    batch = inference.run_smoother(transition, observation, measurements, priors)
+    batch = inference.run_smoother(*models, measurements, priors)
     assert batch.filtered.shape == batch.smoothed.shape == (30, 5, 6)
     assert batch.log_likelihood.shape == (5,)
     for i in range(5):
-        single = inference.run_smoother(transition, observation, measurements[:, i], priors[i])
+        single = inference.run_smoother(*models, measurements[:, i], priors[i])
         assert_allclose(batch.filtered[:, i], single.filtered, rtol=1e-12, atol=1e-15)
         assert_allclose(batch.smoothed[:, i], single.smoothed, rtol=1e-12, atol=1e-15)
         assert batch.log_likelihood[i] == pytest.approx(single.log_likelihood, abs=1e-10)
@@ -441,10 +447,9 @@ def test_batch_matches_single_sequences(random_instance):
 def test_batch_of_one_equals_single_sequence(random_instance):
     rng = np.random.default_rng(43)
     transition, observation, initial, measurements = random_instance(rng, 7, 40)
-    single = inference.run_smoother(transition, observation, measurements, initial)
-    batch = inference.run_smoother(
-        transition, observation, np.array(measurements)[:, None], initial[None, :]
-    )
+    models = oracle.models(transition, observation)
+    single = inference.run_smoother(*models, measurements, initial)
+    batch = inference.run_smoother(*models, np.array(measurements)[:, None], initial[None, :])
     assert np.array_equal(batch.filtered[:, 0], single.filtered)
     assert np.array_equal(batch.smoothed[:, 0], single.smoothed)
 
@@ -452,30 +457,31 @@ def test_batch_of_one_equals_single_sequence(random_instance):
 def test_batch_shares_a_one_dimensional_prior(two_state):
     transition, observation, initial, measurements = two_state
     columns = np.array([measurements, measurements]).T
-    shared = inference.forward_pass(transition, observation, columns, initial)
+    shared = inference.forward_pass(*oracle.models(transition, observation), columns, initial)
     assert_allclose(shared.vectors[:, 1], [FILTERED_1, FILTERED_2], atol=1e-12)
 
 
 def test_batch_error_names_trial_and_step():
-    transition, observation = np.eye(2), np.eye(2)
+    models = oracle.models(np.eye(2), np.eye(2))
     measurements = np.array([[1, 1, 1], [1, 1, 2], [1, 2, 2]])
     prior = np.array([1.0, 0.0])
     with pytest.raises(InferenceError, match="^trial 2: step 2: measurement impossible") as info:
-        inference.forward_pass(transition, observation, measurements, prior)
+        inference.forward_pass(*models, measurements, prior)
     assert (info.value.trial, info.value.step) == (2, 2)
     with pytest.raises(InferenceError, match="^trial 1: step 2: measurement impossible"):
-        inference.backward_pass(transition, observation, measurements)
+        inference.backward_pass(*models, measurements)
     with pytest.raises(InferenceError, match="^step 2: measurement impossible"):
-        inference.forward_pass(transition, observation, measurements[:, 2], prior)
+        inference.forward_pass(*models, measurements[:, 2], prior)
 
 
 def test_batch_out_of_range_measurement_names_trial_and_step(two_state):
     transition, observation, initial, _ = two_state
+    models = oracle.models(transition, observation)
     measurements = np.array([[1, 2], [2, 3]])
     with pytest.raises(InferenceError, match="^trial 1: step 2: measurement 3 out of range 1..2"):
-        inference.forward_pass(transition, observation, measurements, initial)
+        inference.forward_pass(*models, measurements, initial)
     with pytest.raises(InferenceError, match="^step 2: measurement 0 out of range 1..2"):
-        inference.backward_pass(transition, observation, (1, 0))
+        inference.backward_pass(*models, (1, 0))
 
 
 def test_map_estimate_batches_along_state_axis():
@@ -516,8 +522,8 @@ def test_sparse_product_agrees_with_the_dense_blas_reference(monkeypatch, large_
     measured = measured if batch else measured[:, 0]
     prior = inference.point_mass_belief(transition.shape[0], 5)
     sparse = inference.run_smoother(transition, observation, measured, prior)
-    dense_blas(monkeypatch)
-    dense = inference.run_smoother(transition.matrix, observation, measured, prior)
+    dense_blas(monkeypatch)  # the same model, now through BLAS on its dense matrix
+    dense = inference.run_smoother(transition, observation, measured, prior)
     for got, expected in ((sparse.filtered, dense.filtered), (sparse.smoothed, dense.smoothed)):
         assert_allclose(got, expected, rtol=1e-12, atol=0)
     assert_allclose(sparse.log_likelihood, dense.log_likelihood, rtol=1e-12)
@@ -536,16 +542,6 @@ def test_sparse_product_of_a_column_is_the_same_bits_alone_or_in_a_batch(large_m
     assert np.array_equal(product(np.ascontiguousarray(batch.T).T), together)
 
 
-def test_a_dense_transition_above_the_crossover_takes_the_sparse_product(large_model):
-    transition, observation, measured = large_model
-    prior = inference.point_mass_belief(transition.shape[0], 5)
-    model = inference.run_smoother(transition, observation, measured, prior)
-    dense = inference.run_smoother(roadmap.build_transition_matrix(transition), observation,
-                                   measured, prior)
-    assert np.array_equal(model.filtered, dense.filtered)
-    assert np.array_equal(model.smoothed, dense.smoothed)
-
-
 def errors_of_both_products(monkeypatch, run):
     """The InferenceErrors that ``run()`` raises with the sparse product, then with BLAS."""
     errors = []
@@ -558,24 +554,10 @@ def errors_of_both_products(monkeypatch, run):
     return errors
 
 
-@pytest.fixture(scope="module")
-def default_model_and_sinks(default_transition, default_observation):
-    """The default model at sigma 1 and ``_SPARSE_STATES`` more states, each its own
-    sink and reading: block-diagonal transition and observation matrices."""
-    extra = inference._SPARSE_STATES
-    blocks = []
-    for matrix in (default_transition, default_observation):
-        padded = np.zeros((105 + extra, 105 + extra))
-        padded[:105, :105] = matrix
-        padded[105:, 105:] = np.eye(extra)
-        blocks.append(padded)
-    return tuple(blocks)
-
-
 def test_sparse_product_raises_at_the_impossible_measurement_where_blas_does(
     monkeypatch, default_model_and_sinks, default_tables
 ):
-    transition, observation = default_model_and_sinks
+    transition, observation = oracle.models(*default_model_and_sinks)
     seeds = [experiment.trial_seed(0, t) for t in range(3)]
     _, measured = experiment.sample_trajectory(*default_tables, 5, 20, seeds)
     measured[7, 2] = 300  # an extra state's reading: no state of the road map gives it
@@ -594,7 +576,7 @@ def test_sparse_product_raises_at_disjoint_supports_where_blas_does(
 ):
     # drive 1130 of the misread drives above: its backward message underflows to 0
     # on the whole forward support, and it is the batch's second trial (index 1)
-    transition, observation = default_model_and_sinks
+    transition, observation = oracle.models(*default_model_and_sinks)
     misread = np.roll(default_observation, 1, axis=1)
     tables = default_tables[0], oracle.sampling_table(misread)
     seeds = [experiment.trial_seed(0, t) for t in (0, LOST_BACKWARD_DRIVES[0], 1)]
@@ -628,7 +610,7 @@ def test_map_estimate_scale_invariant():
 
 def test_one_sequence_gives_numpy_scalars(two_state):
     transition, observation, initial, measurements = two_state
-    result = inference.run_smoother(transition, observation, measurements, initial)
+    result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
     assert isinstance(result.log_likelihood, np.floating)
     assert isinstance(inference.map_estimate(result.smoothed[-1]), np.integer)
 

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from roadhmm import inference
+from conftest import make_random_instance, observation_matrix
+from roadhmm import experiment, inference
 
 
 def hand_enumerate(transition, observation, initial, measurements):
@@ -124,7 +125,7 @@ def test_evidence_matches_filter_likelihood(random_instance):
             transition, observation, initial, measurements
         )
         log_likelihood = inference.forward_pass(
-            transition, observation, measurements, initial
+            *oracle.models(transition, observation), measurements, initial
         ).log_scale_factors.sum()
         assert math.exp(log_likelihood) == pytest.approx(evidence, rel=1e-9)
 
@@ -156,6 +157,7 @@ def test_impossible_prefix_raises_in_oracle_and_forward_pass_at_one_step():
         transition, observation = sparse_stochastic(rng, (m, m)), sparse_stochastic(rng, (m, m))
         initial = sparse_stochastic(rng, (m, 1))[:, 0]
         measurements = rng.integers(1, m + 1, size=steps)
+        models = oracle.models(transition, observation)
         try:
             filtered, smoothed, evidence = oracle.enumerate_posteriors(
                 transition, observation, initial, measurements
@@ -163,10 +165,10 @@ def test_impossible_prefix_raises_in_oracle_and_forward_pass_at_one_step():
         except ValueError as exc:
             impossible += 1
             with pytest.raises(inference.InferenceError) as caught:
-                inference.forward_pass(transition, observation, measurements, initial)
+                inference.forward_pass(*models, measurements, initial)
             assert str(caught.value) == str(exc)  # "step k: measurement impossible under model"
             continue
-        result = inference.run_smoother(transition, observation, measurements, initial)
+        result = inference.run_smoother(*models, measurements, initial)
         assert_allclose(result.filtered, filtered, rtol=0, atol=1e-12)
         assert_allclose(result.smoothed, smoothed, rtol=0, atol=1e-12)
         assert math.exp(result.log_likelihood) == pytest.approx(evidence, rel=1e-12)
@@ -196,3 +198,30 @@ def test_log_domain_smoother_agrees_with_enumeration_on_sparse_models():
             smoothed, rtol=0, atol=1e-12,
         )
     assert checked > 50
+
+
+def same_bits(actual, expected):
+    """Two arrays with the same shape, dtype and bytes, so -0.0 and 0.0 are told apart."""
+    return (actual.shape == expected.shape and actual.dtype == expected.dtype
+            and actual.tobytes() == expected.tobytes())
+
+
+@pytest.mark.parametrize("case", ["two-state", "random", "default-misread", "default-and-sinks"])
+def test_models_read_back_the_dense_matrices_bit_for_bit(request, case):
+    # every test that hands the passes oracle.models(A, obs) relies on this: the
+    # models are A and obs, and sample from the same tables
+    if case == "two-state":
+        transition, observation = request.getfixturevalue("two_state")[:2]
+    elif case == "random":
+        transition, observation = make_random_instance(np.random.default_rng(7), 9, 1)[:2]
+    elif case == "default-misread":
+        transition = request.getfixturevalue("default_transition")
+        observation = np.roll(request.getfixturevalue("default_observation"), 1, axis=1)
+    else:
+        transition, observation = request.getfixturevalue("default_model_and_sinks")
+    models = oracle.models(transition, observation)
+    assert same_bits(models[0].matrix, transition)
+    assert same_bits(observation_matrix(models[1]), observation)
+    expected = oracle.sampling_table(transition), oracle.sampling_table(observation)
+    for table, reference in zip(experiment.sampling_tables(*models), expected, strict=True):
+        assert all(same_bits(a, b) for a, b in zip(table, reference, strict=True))

@@ -19,6 +19,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracle  # noqa: E402
+from conftest import transition_matrix  # noqa: E402
 from roadhmm import cli, inference, matrixio, roadmap  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -78,7 +79,7 @@ def test_transition_entries_equal_the_dense_reference(graph):
         (e.dst - 1, e.src - 1) for e in graph.edges
     )
     assert values.tobytes() == expected[rows, columns].tobytes()
-    assert roadmap.build_transition_matrix(graph).tobytes() == expected.tobytes()
+    assert transition_matrix(graph).tobytes() == expected.tobytes()
 
 
 @PROPERTY
@@ -88,7 +89,7 @@ def test_scaled_recursions_equal_path_oracle(model):
     filtered, smoothed, evidence = oracle.enumerate_posteriors(
         transition, observation, initial, tuple(measurements.tolist())
     )
-    result = inference.run_smoother(transition, observation, measurements, initial)
+    result = inference.run_smoother(*oracle.models(transition, observation), measurements, initial)
     assert_allclose(result.filtered, filtered, atol=1e-12)
     assert_allclose(result.smoothed, smoothed, atol=1e-12)
     assert math.exp(result.log_likelihood) == pytest.approx(evidence, rel=1e-9)
@@ -98,9 +99,10 @@ def test_scaled_recursions_equal_path_oracle(model):
 @given(st.integers(1, 5).flatmap(lambda n: models(max_steps=8, trials=n)))
 def test_batch_equals_single_sequences(model):
     transition, observation, initial, measurements = model
-    batch = inference.run_smoother(transition, observation, measurements, initial)
+    models = oracle.models(transition, observation)
+    batch = inference.run_smoother(*models, measurements, initial)
     for n in range(measurements.shape[1]):
-        single = inference.run_smoother(transition, observation, measurements[:, n], initial[n])
+        single = inference.run_smoother(*models, measurements[:, n], initial[n])
         assert_allclose(batch.filtered[:, n], single.filtered, rtol=1e-12)
         assert_allclose(batch.smoothed[:, n], single.smoothed, rtol=1e-12)
         assert batch.log_likelihood[n] == pytest.approx(single.log_likelihood, rel=1e-12)

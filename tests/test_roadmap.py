@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
+from conftest import transition_matrix
 from roadhmm import roadmap
 from roadhmm.roadmap import Edge, MapError, RoadGraph
 
@@ -121,7 +122,7 @@ def test_round_trip_preserves_default_map(default_graph):
 
 def test_self_loop_only_node_parks_forever():
     graph = RoadGraph(2, (Edge(1, 1, 1.0), Edge(2, 1, 1.0), Edge(2, 2, 1.0)))
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     assert_allclose(matrix[:, 0], [1.0, 0.0])
 
 
@@ -136,14 +137,14 @@ def test_proportional_normalization():
             Edge(3, 1, 1.0),
         ),
     )
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     assert_allclose(matrix[:, 0], [0.25, 0.5, 0.25])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_columns_stochastic(seed):
     graph = roadmap.generate_default_map(num_nodes=40, seed=seed)
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     assert np.all(matrix >= 0.0)
     assert np.all(matrix <= 1.0)
     assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12
@@ -152,7 +153,7 @@ def test_columns_stochastic(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_zero_pattern_matches_edges(seed):
     graph = roadmap.generate_default_map(num_nodes=25, seed=seed)
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     pattern = np.zeros_like(matrix, dtype=bool)
     for src, dst, weight in graph.edges:
         pattern[dst - 1, src - 1] = weight > 0
@@ -162,7 +163,7 @@ def test_zero_pattern_matches_edges(seed):
 @pytest.mark.parametrize("node,scale", [(1, 3.5), (7, 0.25), (20, 123.0)])
 def test_scaling_outgoing_weights_leaves_column_unchanged(node, scale):
     graph = roadmap.generate_default_map(num_nodes=20, seed=11)
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     scaled = RoadGraph(
         graph.num_nodes,
         tuple(
@@ -170,7 +171,7 @@ def test_scaling_outgoing_weights_leaves_column_unchanged(node, scale):
             for e in graph.edges
         ),
     )
-    rescaled = roadmap.build_transition_matrix(scaled)
+    rescaled = transition_matrix(scaled)
     assert_allclose(rescaled[:, node - 1], matrix[:, node - 1], atol=1e-12)
 
 
@@ -197,7 +198,7 @@ def overflow_graph(weight_1_2):
 )
 def test_positive_weight_that_would_get_probability_zero_is_rejected(weight_1_2, message):
     with pytest.raises(MapError, match=f"^{re.escape(message)}$"):
-        roadmap.build_transition_matrix(overflow_graph(weight_1_2))
+        roadmap.transition_model(overflow_graph(weight_1_2))
 
 
 @pytest.mark.parametrize(
@@ -206,7 +207,7 @@ def test_positive_weight_that_would_get_probability_zero_is_rejected(weight_1_2,
 )
 def test_transition_bytes_equal_two_array_reference(kwargs):
     graph = roadmap.generate_default_map(**kwargs)
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     expected = oracle.reference_transition(graph)
     assert matrix.shape == expected.shape and matrix.dtype == expected.dtype
     assert matrix.tobytes() == expected.tobytes()
@@ -233,7 +234,7 @@ def assert_entries_equal_reference(graph):
     assert values.tobytes() == expected[rows, columns].tobytes()
     scattered = np.zeros((graph.num_nodes, graph.num_nodes))
     scattered[rows, columns] = values
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     assert matrix.flags.c_contiguous and matrix.flags.writeable
     assert matrix.dtype == np.float64 and matrix.shape == scattered.shape
     assert matrix.tobytes() == scattered.tobytes() == expected.tobytes()
@@ -267,7 +268,7 @@ def test_transition_model_keeps_the_matrix_in_its_entries_and_padded_rows(graph)
                for a, b in zip((model.rows, model.columns, model.values),
                                roadmap.transition_entries(graph)))
     assert model.matrix is model.matrix  # built once, at the first read
-    assert model.matrix.tobytes() == roadmap.build_transition_matrix(graph).tobytes()
+    assert model.matrix.tobytes() == oracle.reference_transition(graph).tobytes()
     for (ids, values), matrix in zip(model.padded_rows, (model.matrix, model.matrix.T)):
         width = max(np.count_nonzero(row) for row in matrix)
         assert ids.shape == values.shape == (width, graph.num_nodes)
@@ -286,7 +287,7 @@ def test_transition_peak_memory_is_one_matrix():
     graph = roadmap.generate_default_map(num_nodes=700, seed=5)
     tracemalloc.start()
     try:
-        matrix = roadmap.build_transition_matrix(graph)
+        matrix = transition_matrix(graph)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -384,5 +385,5 @@ def test_generator_rejects_invalid_parameters(kwargs):
 
 def test_generator_handles_small_maps():
     graph = roadmap.generate_default_map(num_nodes=12, seed=5)
-    matrix = roadmap.build_transition_matrix(graph)
+    matrix = transition_matrix(graph)
     assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12

@@ -338,10 +338,9 @@ def test_observation_model_reads_equal_the_dense_build_bit_for_bit(model_graphs,
     some = rng.permutation(m)[: max(1, m // 3)]  # distinct, unsorted
     repeated = rng.integers(0, m, size=(30, 7))  # (steps, trials), with repeats
     for ids in (everything, some, repeated):
-        for observation in (model, dense):
-            table, index = sensor.likelihood_table(observation, ids)
-            assert index.shape == ids.shape
-            assert np.array_equal(bits(table[index]), bits(dense[ids]))
+        table, index = model.likelihood_table(ids)
+        assert index.shape == ids.shape
+        assert np.array_equal(bits(table[index]), bits(dense[ids]))
     table, _ = model.likelihood_table(repeated)
     assert table.shape == (np.unique(repeated).size, m)  # each distinct row once
     table, index = model.likelihood_table(everything)
