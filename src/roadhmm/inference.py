@@ -32,15 +32,21 @@ The passes read the two models only through ``shape``, ``matrix``,
 that infers runs it: the forward pass, then, when smoothing, the backward
 pass and the smoothing product. The product is written into the backward
 messages' storage, so a smoothing run holds two belief arrays, the forward
-and the smoothed ones.
+and the smoothed ones. The two passes depend only on the models and the
+measurements, so for one long sequence (``infer``'s) the backward pass runs
+in a helper process while this process runs the forward pass; a batch of
+trials always runs both here, so the Monte Carlo helper never forks another.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+
+from . import matrixio
 
 #: Bytes of likelihood rows that one chunk of steps may build
 _CHUNK_BYTES = 1 << 20
@@ -51,6 +57,15 @@ _CHUNK_BYTES = 1 << 20
 #: of 5): BLAS 28-75 us against 57-115 us at M = 300-400, 235-306 us against
 #: 85-150 us at M = 500-700, and 1.9 ms against 0.1 ms at M = 3000.
 _SPARSE_STATES = 500
+
+#: Bytes of one sequence's (T, M) belief array from which ``run_smoother`` runs
+#: the backward pass in a helper process beside the forward pass. Measured on a
+#: 2-core Linux VM as ``infer --method both`` wall time with the helper minus
+#: without, medians of 9 alternating runs: on the default map (M = 105) +25 ms
+#: at 2 MiB (T = 2 500), -33 ms at 4 MiB and -62 to -135 ms at 8 MiB (T = 10 000);
+#: on a generated 3000-node map, whose passes cost less per byte and whose fork
+#: costs more, +4 ms at 4 MiB, +25 ms at 8 MiB, -25 ms at 16 MiB, -59 ms at 23 MiB.
+_CONCURRENT_BYTES = 4 << 20
 
 
 class InferenceError(ValueError):
@@ -218,18 +233,20 @@ def forward_pass(A, obs, measurements, initial) -> ScaledMessages:
     return _messages(vectors, np.log(normalizers), batched)
 
 
-def backward_pass(A, obs, measurements) -> ScaledMessages:
+def backward_pass(A, obs, measurements, out: np.ndarray | None = None) -> ScaledMessages:
     """Scaled backward recursion: it predicts with the transpose of the transition matrix.
 
     The final message is the all-ones vector (stored normalized, factor
     log M); earlier messages fold in future measurements one at a time.
+    The messages are written into ``out`` when it is given, a C-contiguous
+    float array of their shape, (T, M) or (T, N, M), and else into a new one.
     """
     predict = _product(A, transpose=True)
     rows, batched = _observation_rows(obs, measurements)
     likelihood = _likelihood(obs, rows)
     steps, n = rows.shape
     m = np.shape(A)[0]
-    vectors = np.empty((steps, n, m))
+    vectors = np.empty((steps, n, m)) if out is None else out.reshape(steps, n, m)
     normalizers = np.full((steps, n), float(m))
     if steps:
         vectors[-1] = 1.0 / m
@@ -278,9 +295,33 @@ def run_smoother(A, obs, measurements, initial, smoother: bool = True) -> Infere
     The forward pass always runs. With ``smoother``, the backward pass and
     ``smooth`` follow, and the smoothed beliefs take the backward messages'
     storage; without it, no backward pass runs and ``smoothed`` is None.
+
+    The two passes depend only on the models and the measurements. Where
+    ``os`` has ``fork`` and one sequence's (T, M) belief array takes at least
+    ``_CONCURRENT_BYTES``, ``matrixio._with_helper`` runs the backward pass in
+    a helper process while this process runs the forward pass. The helper
+    writes the messages into a shared anonymous mapping made before the fork
+    and sends back only their (T,) log normalizers. The result has the same
+    bytes as the serial run's, and so has an error: the forward pass's comes
+    first, and the backward pass's comes back unchanged.
     """
-    forward = forward_pass(A, obs, measurements, initial)
-    smoothed = smooth(forward, backward_pass(A, obs, measurements)) if smoother else None
+    ids = np.asarray(measurements)
+    num_bytes = 8 * ids.size * np.shape(A)[0]
+    if smoother and ids.ndim == 1 and num_bytes >= _CONCURRENT_BYTES and hasattr(os, "fork"):
+        import mmap  # only here: a command that never forks leaves its 36 KiB unmapped
+
+        vectors = np.frombuffer(mmap.mmap(-1, num_bytes)).reshape(len(ids), -1)
+
+        def backward_steps():  # the helper's one step
+            yield backward_pass(A, obs, ids, vectors).log_scale_factors
+
+        forward, (logs,) = matrixio._with_helper(
+            "backward-pass", backward_steps(), lambda: forward_pass(A, obs, ids, initial))
+        backward = ScaledMessages(vectors, logs)
+    else:
+        forward = forward_pass(A, obs, ids, initial)
+        backward = backward_pass(A, obs, ids) if smoother else None
+    smoothed = smooth(forward, backward) if smoother else None
     return InferenceResult(forward.vectors, smoothed, forward.log_scale_factors.sum(axis=0))
 
 

@@ -6,8 +6,8 @@ from Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
 in ``uint64`` arithmetic; its layout follows ``repr``'s rules.
 
 It also holds the package's one helper-process lifecycle, ``_with_helper``,
-which ``write_rows`` and ``experiment.run_experiment`` use to put a second
-core to work.
+which ``write_rows``, ``experiment.run_experiment`` and
+``inference.run_smoother`` use to put a second core to work.
 """
 
 from __future__ import annotations
@@ -259,6 +259,12 @@ def _with_helper(name: str, helper_steps: Iterable, own_work: Callable[[], objec
     and reaped first. A helper that ends without a result raises ``OSError``:
     ``the NAME helper process exited with status N`` or ``was killed by
     signal N``.
+
+    Its users are ``write_rows`` (the later rows), ``experiment.run_experiment``
+    (the later batches) and ``inference.run_smoother`` (one long sequence's
+    backward pass, one step). Each returns only once its helper is reaped, and
+    no helper forks another (``run_smoother`` forks for one sequence only, never
+    for a batch), so at most one helper is ever alive.
     """
     for stream in (sys.stdout, sys.stderr):
         stream.flush()

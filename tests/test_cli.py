@@ -673,11 +673,32 @@ def writer_tables(num_rows):
     return tables, reference
 
 
+def has_child() -> bool:
+    """Whether this process has a child, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+#: The status of a helper process that called ``os.fork`` itself
+NESTED_FORK = 70
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The ``os.fork`` calls made while the test runs, one entry each."""
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    """The ``os.fork`` calls made while the test runs, one entry each: whether this
+    process had a child then. A helper that forks exits with ``NESTED_FORK`` instead."""
+    calls, fork, parent = [], os.fork, os.getpid()
+
+    def counted():
+        if os.getpid() != parent:
+            os._exit(NESTED_FORK)
+        calls.append(has_child())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
     return calls
 
 
@@ -1265,6 +1286,149 @@ def test_an_orphaned_monte_carlo_helper_exits_2_naming_it(monkeypatch, capsys):
     assert capsys.readouterr() == (
         "", "I/O error: the Monte Carlo helper process exited with status 1\n"
     )
+    assert_no_child_left()
+
+
+# ---- infer's backward pass in a helper process ----
+
+
+#: The shortest drive on the default map whose belief array reaches the helper's limit
+LONG_STEPS = -(-inference._CONCURRENT_BYTES // (8 * 105))
+
+
+def long_drive(default_tables, steps=LONG_STEPS):
+    """The measurements of one drive of ``steps`` steps on the default map, from node 5."""
+    return experiment.sample_trajectory(*default_tables, 5, steps, 11)[1]
+
+
+@pytest.fixture
+def long_measurements(tmp_path, default_tables):
+    path = tmp_path / "long.txt"
+    path.write_text("".join(f"{m}\n" for m in long_drive(default_tables).tolist()))
+    return path
+
+
+def long_infer_args(measurements, *extra):
+    return ["infer", "--measurements", str(measurements), "--init-state", "5", *extra]
+
+
+def forked_then_serial(monkeypatch, capsys, args):
+    """``main(args)``'s exit code and captured output, then both again with ``os.fork`` deleted."""
+    results = []
+    for serial in (False, True):
+        if serial:
+            monkeypatch.delattr(os, "fork")
+        results.append((main(args), capsys.readouterr()))
+    return results
+
+
+@pytest.mark.parametrize("steps, helpers", [(LONG_STEPS - 1, 0), (LONG_STEPS, 1)])
+def test_run_smoother_with_the_backward_helper_has_the_serial_bytes(
+        monkeypatch, forks, default_model, default_tables, steps, helpers):
+    measured = long_drive(default_tables, steps)
+    prior = inference.point_mass_belief(105, 5)
+    forked = inference.run_smoother(*default_model, measured, prior)
+    assert forks == [False] * helpers
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    serial = inference.run_smoother(*default_model, measured, prior)
+    for name in ("filtered", "smoothed", "log_likelihood"):
+        got, expected = getattr(forked, name), getattr(serial, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method, helpers", [("filter", 1), ("both", 2)])
+def test_infer_forks_the_pass_helper_only_to_smooth_and_reaps_it_before_writing(
+        tmp_path, long_measurements, forks, method, helpers):
+    out = tmp_path / "beliefs.csv"
+    assert main(long_infer_args(long_measurements, "--method", method, "--out", str(out))) == 0
+    # the pass helper, if any, then the row-formatting helper: never two at once
+    assert forks == [False] * helpers
+    assert_no_child_left()
+
+
+def test_no_batch_of_trials_forks_a_pass_helper(tmp_path, monkeypatch, forks):
+    # every batch's measurements are (T, N), so a limit of 1 byte still forks nothing
+    monkeypatch.setattr(inference, "_CONCURRENT_BYTES", 1)
+    assert main(simulate_args(str(tmp_path / "sim.csv"), **{"--steps": str(LONG_STEPS)})) == 0
+    assert forks == []
+    # 3 batches per scenario: one Monte Carlo helper each, which would exit with
+    # NESTED_FORK if its batches forked
+    assert main(["replicate-table1", "--trials", "60", "--out", str(tmp_path / "t.csv")]) == 0
+    assert forks == [False] * 3
+    assert_no_child_left()
+
+
+def test_the_backward_helpers_inference_error_comes_back_unchanged(
+        monkeypatch, forks, default_model, default_tables):
+    def fails(*args, **kwargs):
+        raise inference.InferenceError("measurement impossible under model", 7)
+
+    monkeypatch.setattr(inference, "backward_pass", fails)  # run only by the helper
+    with pytest.raises(inference.InferenceError) as info:
+        inference.run_smoother(*default_model, long_drive(default_tables),
+                               inference.point_mass_belief(105, 5))
+    error = info.value
+    assert (str(error), error.reason, error.step, error.trial) == (
+        "step 7: measurement impossible under model", "measurement impossible under model", 7,
+        None)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error, line", [
+    (inference.InferenceError("measurement impossible under model", 7),
+     "error: step 7: measurement impossible under model\n"),
+    (MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)"),
+     "error: out of memory: Unable to allocate 298. GiB for an array with shape "
+     "(200000, 200000)\n"),
+], ids=["inference-error", "out-of-memory"])
+def test_a_failing_backward_helper_exits_as_a_serial_run(tmp_path, long_measurements, capsys,
+                                                         monkeypatch, forks, error, line):
+    def fails(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(inference, "backward_pass", fails)
+    out = tmp_path / "beliefs.csv"
+    results = forked_then_serial(monkeypatch, capsys,
+                                 long_infer_args(long_measurements, "--out", str(out)))
+    assert results[0] == results[1] == (cli.EXIT_INVALID, ("", line))
+    assert len(forks) == 1  # the forked run's pass helper; neither run wrote a row
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_an_impossible_first_measurement_of_a_long_drive_fails_as_a_serial_run(
+        tmp_path, long_measurements, capsys, monkeypatch, forks):
+    # node 99 cannot be measured as node 3 one step later: the forward pass fails at
+    # step 1 while the helper runs the backward pass, which then is not wanted
+    long_measurements.write_text("3\n" + long_measurements.read_text())
+    args = ["infer", "--measurements", str(long_measurements), "--init-state", "99"]
+    results = forked_then_serial(monkeypatch, capsys, args)
+    assert results[0] == results[1] == (
+        cli.EXIT_INVALID, ("", "error: step 1: measurement impossible under model\n"))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [inference.InferenceError("failed", 3), KeyboardInterrupt()])
+def test_a_failing_forward_pass_kills_and_reaps_the_backward_helper(
+        monkeypatch, default_model, default_tables, failure):
+    def stuck(*args, **kwargs):  # run only by the helper
+        time.sleep(60)  # only a kill ends the helper in time
+        raise AssertionError("the helper was not killed")
+
+    def fails(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(inference, "backward_pass", stuck)
+    monkeypatch.setattr(inference, "forward_pass", fails)
+    start = time.monotonic()
+    with pytest.raises(type(failure)):
+        inference.run_smoother(*default_model, long_drive(default_tables),
+                               inference.point_mass_belief(105, 5))
+    assert time.monotonic() - start < 30
     assert_no_child_left()
 
 
