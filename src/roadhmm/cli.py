@@ -60,7 +60,7 @@ def _cmd_validate_map(args) -> int:
     deviation = float(np.abs(sums - 1.0).max())
     # the build keeps each positive weight positive, so the two counts agree
     positive_entries = int(np.count_nonzero(values))
-    positive_edges = sum(1 for e in graph.edges if e.weight > 0)
+    positive_edges = int(np.count_nonzero(graph.weight > 0))
     print(f"{graph.num_nodes} nodes, {len(graph.edges)} edges")
     print(f"max column-sum deviation: {deviation:.3e}")
     print(

@@ -64,7 +64,9 @@ _SPARSE_STATES = 500
 #: without, medians of 9 alternating runs: on the default map (M = 105) +25 ms
 #: at 2 MiB (T = 2 500), -33 ms at 4 MiB and -62 to -135 ms at 8 MiB (T = 10 000);
 #: on a generated 3000-node map, whose passes cost less per byte and whose fork
-#: costs more, +4 ms at 4 MiB, +25 ms at 8 MiB, -25 ms at 16 MiB, -59 ms at 23 MiB.
+#: costs more, in two sets of runs, +18 and +24 ms at 4 MiB, +19 and -5 ms at
+#: 8 MiB, +17 and +71 ms at 16 MiB, -84 and -42 ms at 23 MiB. One byte count
+#: cannot fit both maps; this one keeps the default map's gain.
 _CONCURRENT_BYTES = 4 << 20
 
 
@@ -177,10 +179,13 @@ def _product(A, transpose: bool):
 
     ``A`` is a ``roadmap.TransitionModel``. Below ``_SPARSE_STATES`` states
     the product is BLAS on the dense A, the model's ``matrix``. From there on
-    it sums A's padded rows: for k = 0..K-1, one gather of B's rows by the
-    k-th entry ids, times the k-th entry values, added in k order into one
-    (M, N) total. Each column's sum is then a fixed sequence of elementwise
-    operations, and a padding term adds 0.0.
+    it sums A's padded rows, a chunk of k at a time: one gather of B's rows
+    by the chunk's entry ids into a buffer of at most ``_CHUNK_BYTES`` (or
+    one k), times the chunk's entry values in place, then each term added
+    into one (M, N) total in k order. Each column's sum is then a fixed
+    sequence of elementwise operations, and a padding term adds 0.0. A map
+    with a hub, whose padded rows are as wide as its degree, gathers no
+    K x M x N block.
     """
     if np.shape(A)[0] < _SPARSE_STATES:
         return partial(np.matmul, A.matrix.T if transpose else A.matrix)
@@ -188,13 +193,20 @@ def _product(A, transpose: bool):
     values = values[:, :, None]  # broadcast over the N columns
 
     def product(b: np.ndarray) -> np.ndarray:
-        total = np.take(b, ids[0], axis=0)
-        total *= values[0]
-        term = np.empty_like(total)
-        for k in range(1, len(ids)):
-            np.take(b, ids[k], axis=0, out=term)
-            term *= values[k]
-            total += term
+        step = min(len(ids), max(1, _CHUNK_BYTES // (8 * b.size)))  # the k's of one gather
+        terms = np.empty((step, *b.shape))
+        total = None
+        for k in range(0, len(ids), step):
+            chunk = terms[:len(ids[k:k + step])]
+            # the ids are in range, and mode="raise" would gather into a copy of ``out``
+            np.take(b, ids[k:k + step], axis=0, out=chunk, mode="clip")
+            chunk *= values[k:k + step]
+            # a term at a time: np.add.reduce over the k axis would loop over it innermost
+            for term in chunk:
+                if total is None:
+                    total = term.copy()
+                else:
+                    total += term
         return total
 
     return product
@@ -262,26 +274,26 @@ def backward_pass(A, obs, measurements, out: np.ndarray | None = None) -> Scaled
     return _messages(vectors, np.log(normalizers), batched)
 
 
-def smooth(forward: ScaledMessages, backward: ScaledMessages) -> np.ndarray:
-    """Smoother beliefs: elementwise product of the two passes, renormalized.
+def smooth(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
+    """Smoother beliefs: elementwise product of the two passes' vectors, renormalized.
 
     The per-step scale factors cancel in the normalization, so the scaled
-    vectors can be multiplied directly. The result is written into, and
-    returned as, ``backward.vectors``: a smoothing run holds two belief
-    arrays, not three. Pass a copy of the backward messages to keep them.
+    vectors can be multiplied directly, and ``smooth`` takes only those, the
+    passes' ``vectors``. The result is written into, and returned as,
+    ``backward``: a smoothing run holds two belief arrays, not three. Pass a
+    copy of the backward vectors to keep them.
 
     Where the forward mass sits only where the backward message is tiny, the
     product of the two can underflow although the sequence is possible. At
     the steps whose product sums below the smallest normal float, the
     product is taken in log space and rescaled to a peak of 1 instead.
     """
-    fwd, bwd = forward.vectors, backward.vectors
-    if fwd.shape != bwd.shape:
-        raise ValueError(f"forward/backward shape mismatch: {fwd.shape} vs {bwd.shape}")
-    underflows = np.einsum("...i,...i->...", fwd, bwd) < np.finfo(float).tiny
+    if forward.shape != backward.shape:
+        raise ValueError(f"forward/backward shape mismatch: {forward.shape} vs {backward.shape}")
+    underflows = np.einsum("...i,...i->...", forward, backward) < np.finfo(float).tiny
     with np.errstate(divide="ignore", invalid="ignore"):  # disjoint supports give NaN, checked below
-        logs = np.log(fwd[underflows]) + np.log(bwd[underflows])
-        product = np.multiply(fwd, bwd, out=bwd)
+        logs = np.log(forward[underflows]) + np.log(backward[underflows])
+        product = np.multiply(forward, backward, out=backward)
         product[underflows] = np.exp(logs - logs.max(axis=-1, keepdims=True, initial=-np.inf))
     sums = product.sum(axis=-1, keepdims=True)
     _check(sums, "inconsistent forward/backward messages", product.ndim == 3)
@@ -301,7 +313,8 @@ def run_smoother(A, obs, measurements, initial, smoother: bool = True) -> Infere
     ``_CONCURRENT_BYTES``, ``matrixio._with_helper`` runs the backward pass in
     a helper process while this process runs the forward pass. The helper
     writes the messages into a shared anonymous mapping made before the fork
-    and sends back only their (T,) log normalizers. The result has the same
+    and sends back nothing, as ``smooth`` reads only their vectors and the
+    log-likelihood comes from the forward pass. The result has the same
     bytes as the serial run's, and so has an error: the forward pass's comes
     first, and the backward pass's comes back unchanged.
     """
@@ -313,15 +326,15 @@ def run_smoother(A, obs, measurements, initial, smoother: bool = True) -> Infere
         vectors = np.frombuffer(mmap.mmap(-1, num_bytes)).reshape(len(ids), -1)
 
         def backward_steps():  # the helper's one step
-            yield backward_pass(A, obs, ids, vectors).log_scale_factors
+            backward_pass(A, obs, ids, vectors)
+            yield
 
-        forward, (logs,) = matrixio._with_helper(
+        forward, _ = matrixio._with_helper(
             "backward-pass", backward_steps(), lambda: forward_pass(A, obs, ids, initial))
-        backward = ScaledMessages(vectors, logs)
     else:
         forward = forward_pass(A, obs, ids, initial)
-        backward = backward_pass(A, obs, ids) if smoother else None
-    smoothed = smooth(forward, backward) if smoother else None
+        vectors = backward_pass(A, obs, ids).vectors if smoother else None
+    smoothed = smooth(forward.vectors, vectors) if smoother else None
     return InferenceResult(forward.vectors, smoothed, forward.log_scale_factors.sum(axis=0))
 
 

@@ -2,7 +2,10 @@
 
 Positions are integer node ids 1..M. Directed edges carry unnormalized
 nonnegative weights; a self loop (src == dst) models stopping/parking at
-that position. ``transition_entries`` normalizes each node's outgoing
+that position. ``RoadGraph`` checks a map's edges as numpy columns, ids,
+weights and pairs each as one array, and keeps those columns, from which
+the model builders read the edges: no Python loop runs per edge of a valid
+map. ``transition_entries`` normalizes each node's outgoing
 weights into the edges' entries of a column-stochastic matrix A with
 
     A[i - 1, j - 1] = P(next = i | current = j),
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -63,57 +68,108 @@ class RoadGraph:
 
     Weights are unnormalized ratios, not probabilities; the transition
     builder normalizes per node. Instances are immutable and validated on
-    construction: endpoints in range, finite nonnegative weights, no duplicate
-    (src, dst) pairs, and every node has at least one outgoing edge with
-    positive weight (otherwise it would have no transition distribution).
+    construction: integer endpoints in range, finite nonnegative weights, no
+    duplicate (src, dst) pairs, and every node has at least one outgoing edge
+    with positive weight (otherwise it would have no transition distribution).
+    A bad edge is named as the first in ``edges`` order, its checks in that
+    order. ``edges`` holds each edge with int ids and a float weight, and
+    ``src``, ``dst`` and ``weight`` hold the same as three numpy columns (int64
+    ids, float weights) in ``edges`` order, which the model builders read; the
+    columns are neither compared nor in the repr.
     """
 
     num_nodes: int
     edges: tuple[Edge, ...]
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_int(self.num_nodes) or self.num_nodes < 1:
             raise MapError("num_nodes must be a positive integer")
-        object.__setattr__(self, "num_nodes", int(self.num_nodes))
-
-        normalized = []
-        seen: set[tuple[int, int]] = set()
-        sources: set[int] = set()
-        for edge in self.edges:
-            src, dst, weight = edge
-            for node in (src, dst):
-                if not _is_int(node):
-                    raise MapError(f"node id {node!r} is not an integer")
-                if not 1 <= node <= self.num_nodes:
-                    raise MapError(
-                        f"node {int(node)} out of range 1..{self.num_nodes} "
-                        f"on edge ({src}, {dst})"
-                    )
-            if not isinstance(weight, (int, float, np.floating)) or isinstance(weight, bool):
-                raise MapError(f"weight {weight!r} on edge ({src}, {dst}) is not a number")
-            try:
-                weight = float(weight)
-            except OverflowError:  # an integer beyond the float range
-                weight = math.inf if weight > 0 else -math.inf
-            if not np.isfinite(weight):
-                raise MapError(f"non-finite weight {weight} on edge ({src}, {dst})")
-            if weight < 0:
-                raise MapError(f"negative weight {weight} on edge ({src}, {dst})")
-            key = (int(src), int(dst))
-            if key in seen:
-                raise MapError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            if weight > 0:
-                sources.add(key[0])
-            normalized.append(Edge(key[0], key[1], weight))
-        if len(sources) < self.num_nodes:  # sources lie in 1..num_nodes, so one is missing
-            missing = next(n for n in range(1, self.num_nodes + 1) if n not in sources)
-            raise MapError(f"node {missing} has no outgoing edge with positive weight")
-        object.__setattr__(self, "edges", tuple(normalized))
+        num_nodes = int(self.num_nodes)
+        # a valid map has an edge out of every node, so no more nodes than edges
+        valid = _columns(self.edges, num_nodes) if num_nodes <= len(self.edges) else None
+        if valid is None:
+            _reject(self.edges, num_nodes)
+        edges, src, dst, weight = valid
+        has_source = np.bincount(src[weight > 0] - 1, minlength=num_nodes)
+        missing = int(np.argmin(has_source))  # the first node without one, if any
+        if has_source[missing] == 0:
+            raise MapError(f"node {missing + 1} has no outgoing edge with positive weight")
+        for name, value in (("num_nodes", num_nodes), ("edges", edges),
+                            ("src", src), ("dst", dst), ("weight", weight)):
+            object.__setattr__(self, name, value)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _columns(edges, num_nodes: int):
+    """(edges, src, dst, weight) if each edge passes its checks, else None: the edges
+    with int ids and float weights, and the same as numpy columns.
+
+    Types are checked over the set of each column's types, and ids, weights,
+    ranges and duplicates as whole columns. ``int`` and ``float`` return an
+    int or a float as it is, so a valid map's numbers are kept, not copied.
+    """
+    src, dst, weight = zip(*edges)
+    id_types, weight_types = set(map(type, src + dst)), set(map(type, weight))
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in id_types):
+        return None
+    if not all(issubclass(t, (int, float, np.floating)) and not issubclass(t, bool)
+               for t in weight_types):
+        return None
+    try:  # an int weight beyond the float range or an id beyond int64 overflows
+        src, dst, weight = tuple(map(int, src)), tuple(map(int, dst)), tuple(map(float, weight))
+        columns = [np.fromiter(column, dtype, len(column))
+                   for column, dtype in ((src, np.int64), (dst, np.int64), (weight, float))]
+    except OverflowError:
+        return None
+    s, d, w = columns
+    good = (s >= 1) & (s <= num_nodes) & (d >= 1) & (d <= num_nodes) & np.isfinite(w) & (w >= 0)
+    order = np.lexsort((d, s))
+    repeated = (np.diff(s[order]) == 0) & (np.diff(d[order]) == 0)
+    # counted, not .all() and .any(): those reductions would page in numpy code
+    # that no command runs otherwise, 64 KiB of resident memory
+    if np.count_nonzero(good) < len(good) or np.count_nonzero(repeated):
+        return None
+    return tuple(map(tuple.__new__, repeat(Edge), zip(src, dst, weight))), *columns
+
+
+def _reject(edges, num_nodes: int) -> None:
+    """Raise the MapError of a map that ``_columns`` rejected or that has more nodes than
+    edges: its first bad edge, each edge's checks in order, else its first node without a
+    positive out-edge. It runs only on such a map, so it always raises."""
+    seen: set[tuple[int, int]] = set()
+    sources: set[int] = set()
+    for src, dst, weight in edges:
+        for node in (src, dst):
+            if not _is_int(node):
+                raise MapError(f"node id {node!r} is not an integer")
+            if not 1 <= node <= num_nodes:
+                raise MapError(
+                    f"node {int(node)} out of range 1..{num_nodes} on edge ({src}, {dst})")
+        if not isinstance(weight, (int, float, np.floating)) or isinstance(weight, bool):
+            raise MapError(f"weight {weight!r} on edge ({src}, {dst}) is not a number")
+        try:
+            weight = float(weight)
+        except OverflowError:  # an integer beyond the float range
+            weight = math.inf if weight > 0 else -math.inf
+        if not np.isfinite(weight):
+            raise MapError(f"non-finite weight {weight} on edge ({src}, {dst})")
+        if weight < 0:
+            raise MapError(f"negative weight {weight} on edge ({src}, {dst})")
+        key = (int(src), int(dst))
+        if key in seen:
+            raise MapError(f"duplicate edge ({key[0]}, {key[1]})")
+        seen.add(key)
+        if weight > 0:
+            sources.add(key[0])
+    # every edge passed, so the map has more nodes than edges: one has no out-edge
+    missing = next(n for n in range(1, num_nodes + 1) if n not in sources)
+    raise MapError(f"node {missing} has no outgoing edge with positive weight")
 
 
 def load_map(text: str) -> RoadGraph:
@@ -129,12 +185,13 @@ def load_map(text: str) -> RoadGraph:
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise MapError("'edges' must be a list")
-    edges = []
-    for pos, item in enumerate(raw_edges):
-        if not isinstance(item, dict) or not {"from", "to", "weight"} <= set(item):
-            raise MapError(f"edge #{pos} must be an object with 'from', 'to' and 'weight'")
-        edges.append(Edge(item["from"], item["to"], item["weight"]))
-    return RoadGraph(num_nodes=data["num_nodes"], edges=tuple(edges))
+    try:  # only a JSON object with all three keys gives a triple
+        edges = tuple(map(itemgetter("from", "to", "weight"), raw_edges))
+    except (KeyError, TypeError):
+        pos = next(pos for pos, item in enumerate(raw_edges)
+                   if not isinstance(item, dict) or not {"from", "to", "weight"} <= item.keys())
+        raise MapError(f"edge #{pos} must be an object with 'from', 'to' and 'weight'") from None
+    return RoadGraph(num_nodes=data["num_nodes"], edges=edges)
 
 
 def read_map(path: str) -> RoadGraph:
@@ -166,7 +223,7 @@ def transition_entries(graph: RoadGraph):
     probability 0: its node's total overflows, or the weight is lost to
     rounding against it.
     """
-    src, dst, weight = (np.array(column) for column in zip(*graph.edges))
+    src, dst, weight = graph.src, graph.dst, graph.weight
     order = np.lexsort((dst, src))
     totals = np.bincount(src[order] - 1, weights=weight[order], minlength=graph.num_nodes)
     values = weight / totals[src - 1]

@@ -57,17 +57,21 @@ def confusion_entries(graph: RoadGraph):
     with probability 1. Indices are 0-based.
     """
     m = graph.num_nodes
-    pairs = {(e.src - 1, e.dst - 1) for e in graph.edges if e.src != e.dst}
-    # (row, column) of every neighbor entry, each once
-    entries = pairs | {(j, i) for i, j in pairs}
-    rows, columns = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
-    neighbors = np.bincount(columns, minlength=m)
-    values = ((1.0 - _DIAGONAL) / np.maximum(neighbors, 1))[columns]
+    off = graph.src != graph.dst
+    a, b = graph.src[off] - 1, graph.dst[off] - 1
     diagonal = np.arange(m)
-    rows, columns = np.concatenate([rows, diagonal]), np.concatenate([columns, diagonal])
-    values = np.concatenate([values, np.where(neighbors > 0, _DIAGONAL, 1.0)])
-    order = np.argsort(columns * m + rows, kind="stable")
-    return rows[order], columns[order], values[order]
+    # (row, column) of every neighbor entry, in both directions, then every diagonal entry
+    rows, columns = np.concatenate([a, b, diagonal]), np.concatenate([b, a, diagonal])
+    keys = columns * m + rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])  # each entry once
+    rows, columns = rows[order][first], columns[order][first]
+    neighbor = rows != columns
+    neighbors = np.bincount(columns[neighbor], minlength=m)
+    values = np.where(neighbor, (1.0 - _DIAGONAL) / np.maximum(neighbors, 1)[columns],
+                      np.where(neighbors > 0, _DIAGONAL, 1.0)[columns])
+    return rows, columns, values
 
 
 def _noise(m: int, sigma: float):

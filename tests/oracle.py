@@ -12,10 +12,15 @@ grid, independently of ``sensor.ObservationModel``, and
 its edge entries. ``sampling_table(matrix)`` gives a dense matrix's sampling
 table, for the tests that sample from a hand-built model, and
 ``models(transition, observation)`` gives two dense matrices as the models
-that the passes take.
+that the passes take. ``reference_graph(num_nodes, edges)`` validates a map
+one edge at a time, as ``roadmap.RoadGraph`` did before it checked columns,
+and ``padded_row_product(ids, values, b)`` sums padded rows one k at a time,
+as ``inference._product`` did before it gathered a chunk of k at once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -174,3 +179,61 @@ def models(transition, observation):
     m, n = len(transition), len(observation)
     return (roadmap.TransitionModel(m, *_entries(transition)),
             sensor.ObservationModel(np.zeros(n), np.ones(n), 1, *_entries(observation)))
+
+
+def reference_graph(num_nodes, edges):
+    """(num_nodes, edges) of a valid map, with int ids and float weights, or the
+    ``roadmap.MapError`` of an invalid one, checked one edge at a time in order:
+    endpoints are integers in range, the weight a finite nonnegative number, the
+    (src, dst) pair new; then every node needs an outgoing positive weight."""
+    if not _is_int(num_nodes) or num_nodes < 1:
+        raise roadmap.MapError("num_nodes must be a positive integer")
+    normalized = []
+    seen = set()
+    sources = set()
+    for src, dst, weight in edges:
+        for node in (src, dst):
+            if not _is_int(node):
+                raise roadmap.MapError(f"node id {node!r} is not an integer")
+            if not 1 <= node <= num_nodes:
+                raise roadmap.MapError(
+                    f"node {int(node)} out of range 1..{num_nodes} on edge ({src}, {dst})")
+        if not isinstance(weight, (int, float, np.floating)) or isinstance(weight, bool):
+            raise roadmap.MapError(f"weight {weight!r} on edge ({src}, {dst}) is not a number")
+        try:
+            weight = float(weight)
+        except OverflowError:
+            weight = math.inf if weight > 0 else -math.inf
+        if not np.isfinite(weight):
+            raise roadmap.MapError(f"non-finite weight {weight} on edge ({src}, {dst})")
+        if weight < 0:
+            raise roadmap.MapError(f"negative weight {weight} on edge ({src}, {dst})")
+        key = (int(src), int(dst))
+        if key in seen:
+            raise roadmap.MapError(f"duplicate edge ({key[0]}, {key[1]})")
+        seen.add(key)
+        if weight > 0:
+            sources.add(key[0])
+        normalized.append(roadmap.Edge(key[0], key[1], weight))
+    if len(sources) < num_nodes:
+        missing = next(n for n in range(1, num_nodes + 1) if n not in sources)
+        raise roadmap.MapError(f"node {missing} has no outgoing edge with positive weight")
+    return int(num_nodes), tuple(normalized)
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def padded_row_product(ids, values, b):
+    """The sum over k of values[k] * b[ids[k]] for (K, M) padded rows and (M, N)
+    columns b: one gather per k, added into one total in k order."""
+    values = values[:, :, None]
+    total = np.take(b, ids[0], axis=0)
+    total *= values[0]
+    term = np.empty_like(total)
+    for k in range(1, len(ids)):
+        np.take(b, ids[k], axis=0, out=term)
+        term *= values[k]
+        total += term
+    return total

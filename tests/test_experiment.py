@@ -866,7 +866,8 @@ def calibration_gaps(transition, observation, sampler_observation):
         states, measured = experiment.sample_trajectory(*tables, 5, 50, seeds)
         forward = inference.forward_pass(*models, measured, prior)
         backward = inference.backward_pass(*models, measured)
-        for d, beliefs in zip(differences, (forward.vectors, inference.smooth(forward, backward))):
+        smoothed = inference.smooth(forward.vectors, backward.vectors)
+        for d, beliefs in zip(differences, (forward.vectors, smoothed)):
             hits = inference.map_estimate(beliefs) == states
             d.append(hits.mean(axis=0) - beliefs.max(axis=-1).mean(axis=0))
     d = np.array([np.concatenate(parts) for parts in differences])
@@ -967,7 +968,7 @@ def test_fixed_lag_estimates_run_from_the_filter_to_the_smoother(default_model, 
         forward = inference.forward_pass(transition, observation, measured, prior)
         filtered = inference.map_estimate(forward.vectors)
         backward = inference.backward_pass(transition, observation, measured)
-        smoothed = inference.map_estimate(inference.smooth(forward, backward))
+        smoothed = inference.map_estimate(inference.smooth(forward.vectors, backward.vectors))
         lag = functools.partial(fixed_lag_estimates, transition, observation, measured, forward)
         assert np.array_equal(lag(0), filtered)
         assert np.array_equal(lag(steps - 1), smoothed)

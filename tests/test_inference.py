@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -209,7 +210,7 @@ def test_smooth_worked_example(two_state):
     models = oracle.models(transition, observation)
     forward = inference.forward_pass(*models, measurements, initial)
     backward = inference.backward_pass(*models, measurements)
-    smoothed = inference.smooth(forward, backward)
+    smoothed = inference.smooth(forward.vectors, backward.vectors)
     assert_allclose(smoothed, [SMOOTHED_1, FILTERED_2], atol=1e-12)
     assert_allclose(smoothed, [[0.68141, 0.31859], [0.62958, 0.37042]], atol=1e-4)
     assert_allclose(smoothed.sum(axis=1), 1.0, atol=1e-12)
@@ -231,12 +232,12 @@ def test_smooth_rejects_mismatched_messages(two_state):
     forward = inference.forward_pass(*models, measurements, initial)
     backward = inference.backward_pass(*models, (1,))
     with pytest.raises(ValueError, match="mismatch"):
-        inference.smooth(forward, backward)
+        inference.smooth(forward.vectors, backward.vectors)
 
 
 def test_smooth_rejects_messages_with_disjoint_support():
-    forward = inference.ScaledMessages(np.array([[0.5, 0.5], [1.0, 0.0]]), np.zeros(2))
-    backward = inference.ScaledMessages(np.array([[0.5, 0.5], [0.0, 1.0]]), np.zeros(2))
+    forward = np.array([[0.5, 0.5], [1.0, 0.0]])
+    backward = np.array([[0.5, 0.5], [0.0, 1.0]])
     with pytest.raises(InferenceError, match="^step 2: inconsistent forward/backward messages$"):
         inference.smooth(forward, backward)
 
@@ -247,10 +248,7 @@ def test_smooth_names_trial_of_inconsistent_batch_messages():
     backward = np.ones((2, 3, 2)) / 2
     backward[1, 2] = [0.0, 1.0]
     with pytest.raises(InferenceError, match="^trial 2: step 2: inconsistent forward/backward"):
-        inference.smooth(
-            inference.ScaledMessages(forward, np.zeros((2, 3))),
-            inference.ScaledMessages(backward, np.zeros((2, 3))),
-        )
+        inference.smooth(forward, backward)
 
 
 # Drives of 50 steps on the default map at sigma 1 from node 5, sampled with the
@@ -294,7 +292,7 @@ def test_smoother_agrees_with_log_domain_reference_on_misread_drives(
     factors = np.stack([forward.vectors, backward.vectors])
     shared = (factors > 0).all(axis=0)
     subnormal = (shared & (factors < tiny).any(axis=0)).any(axis=1)
-    smoothed = inference.smooth(forward, backward)
+    smoothed = inference.smooth(forward.vectors, backward.vectors)
     expected = oracle.log_domain_smoother(default_transition, default_observation, prior, measured)
     error = np.abs(smoothed - expected).max(axis=1)
     # A subnormal factor, or a backward message it descends from, keeps fewer
@@ -317,7 +315,7 @@ def test_smooth_writes_into_the_backward_messages(random_instance, batch):
     expected /= expected.sum(axis=-1, keepdims=True)
     tracemalloc.start()
     try:
-        smoothed = inference.smooth(forward, backward)
+        smoothed = inference.smooth(forward.vectors, backward.vectors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -540,6 +538,46 @@ def test_sparse_product_of_a_column_is_the_same_bits_alone_or_in_a_batch(large_m
         assert np.array_equal(product(batch[:, i:i + 1]), together[:, i:i + 1])
     # the backward pass hands in a transposed view, which gives the same bits
     assert np.array_equal(product(np.ascontiguousarray(batch.T).T), together)
+
+
+@functools.cache
+def map_3000(hub: bool):
+    """The transition of generate_default_map(3000, 0), or with ``hub`` of that map with
+    node 3000 joined to every node, whose transpose's padded rows are then 3000 wide."""
+    graph = roadmap.generate_default_map(3000, 0)
+    if hub:
+        joined = {e.dst for e in graph.edges if e.src == 3000}
+        edges = tuple(roadmap.Edge(3000, j, 1.0) for j in range(1, 3001) if j not in joined)
+        graph = roadmap.RoadGraph(3000, graph.edges + edges)
+    return roadmap.transition_model(graph)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["A", "A^T"])
+@pytest.mark.parametrize("width", [1, 7, 24])
+@pytest.mark.parametrize("hub", [False, True], ids=["3000-seed0", "3000-hub"])
+def test_sparse_product_has_the_bits_of_the_k_order_loop(hub, transpose, width):
+    model = map_3000(hub)
+    ids, values = model.padded_rows[transpose]
+    b = np.random.default_rng(width).random((3000, width))
+    b[::5] = 0.0  # zero terms, as where a belief vanishes
+    got = inference._product(model, transpose)(b)
+    assert got.shape == b.shape and got.dtype == b.dtype
+    assert got.tobytes() == oracle.padded_row_product(ids, values, b).tobytes()
+
+
+def test_sparse_product_on_a_hub_gathers_a_bounded_chunk():
+    model = map_3000(hub=True)
+    assert model.padded_rows[True][0].shape == (3000, 3000)
+    product = inference._product(model, transpose=True)
+    b = np.random.default_rng(0).random((3000, 24))
+    tracemalloc.start()
+    try:
+        out = product(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one gather of the whole 3000 x 3000 x 24 block would take 1.7 GB
+    assert peak <= 1.05 * (inference._CHUNK_BYTES + out.nbytes)
 
 
 def errors_of_both_products(monkeypatch, run):

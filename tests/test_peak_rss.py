@@ -115,7 +115,7 @@ def test_simulate_peak_rss_is_flat_in_the_trial_count(work):
         (["infer", "--measurements", "measured2.txt", "--init-state", "0"],
          1, 0.5 * MODEL_MATRIX_MIB),
         # above the sparse crossover the passes read the transition's entries, so
-        # no M x M array is built. Measured growth: 14.1 and 2.1 MiB (2-core Linux
+        # no M x M array is built. Measured growth: 11.3 and 1.1 MiB (2-core Linux
         # VM, Python 3.11, numpy 2.4); the simulate growth is mostly its
         # observation sampling table.
         (["simulate", "--init", "5", "--steps", "50", "--trials", "2", "--out", "sim.csv"],

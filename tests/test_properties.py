@@ -82,6 +82,69 @@ def test_transition_entries_equal_the_dense_reference(graph):
     assert transition_matrix(graph).tobytes() == expected.tobytes()
 
 
+#: Endpoints that no map may hold whatever its size, and weights that are no
+#: finite nonnegative number; -0.0 and the ints are valid weights
+_BAD_IDS = [True, False, 1.0, 2.5, "1", None]
+_WEIGHTS = [math.nan, math.inf, -math.inf, -1.0, -1e-300, -0.0, 0, 3, 10**309, -10**309,
+            True, "1", None, np.float32(0.5), np.int64(2)]
+
+
+@st.composite
+def edge_lists(draw):
+    """(num_nodes, edges): a map's edge triples, often valid, with drawn defects.
+
+    Defects are endpoints of the wrong type, 0, M + 1 or beyond 2**63, weights
+    from ``_WEIGHTS``, repeated (src, dst) pairs, nodes whose out-edges all
+    weigh 0, and a num_nodes far above the edge count. Valid endpoints may be
+    np.int64 and np.uint64, valid weights np.float32 or ints."""
+    num_nodes = draw(st.integers(1, 5))
+    node = st.integers(1, num_nodes)
+    edges = draw(st.lists(st.tuples(node, node, weights | st.integers(0, 100)), max_size=10))
+    if draw(st.integers(0, 3)):  # a positive out-edge for every node, none repeated
+        unique = dict(((s, d), w) for s, d, w in edges)
+        for n in range(1, num_nodes + 1):
+            if not any(w > 0 for (s, _), w in unique.items() if s == n):
+                unique[(n, n)] = 1.0
+        edges = [(s, d, w) for (s, d), w in unique.items()]
+    unusual_id = (st.sampled_from(_BAD_IDS + [0, num_nodes + 1])
+                  | st.integers(2**63 - 2, 2**64 + 2) | node.map(np.int64) | node.map(np.uint64))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if edges else 0):
+        pos, field = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 2))
+        value = draw(st.sampled_from(_WEIGHTS) if field == 2 else unusual_id)
+        edges[pos] = edges[pos][:field] + (value,) + edges[pos][field + 1:]
+    if draw(st.integers(0, 4)) == 0:
+        num_nodes = draw(st.sampled_from([10**12, 2**64]))
+    return num_nodes, edges
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(edge_lists())
+def test_road_graph_validates_as_the_per_edge_reference(drawn):
+    num_nodes, edges = drawn
+    try:
+        expected = oracle.reference_graph(num_nodes, edges)
+    except roadmap.MapError as exc:
+        expected = exc
+    # a JSON map file can hold the same values, unless they are numpy scalars
+    builds = [lambda: roadmap.RoadGraph(num_nodes, tuple(edges))]
+    if all(type(v) in (bool, int, float, str, type(None)) for edge in edges for v in edge):
+        text = json.dumps({"num_nodes": num_nodes,
+                           "edges": [{"from": s, "to": d, "weight": w} for s, d, w in edges]})
+        builds.append(lambda: roadmap.load_map(text))
+    for build in builds:
+        if isinstance(expected, roadmap.MapError):
+            with pytest.raises(roadmap.MapError) as raised:
+                build()
+            assert str(raised.value) == str(expected)
+        else:
+            graph = build()
+            assert (graph.num_nodes, repr(graph.edges)) == (expected[0], repr(expected[1]))
+            assert graph.src.dtype == graph.dst.dtype == np.int64
+            assert graph.src.tolist() == [e.src for e in expected[1]]
+            assert graph.dst.tolist() == [e.dst for e in expected[1]]
+            assert graph.weight.tobytes() == np.array([e.weight for e in expected[1]]).tobytes()
+
+
 @PROPERTY
 @given(models())
 def test_scaled_recursions_equal_path_oracle(model):

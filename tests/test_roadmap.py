@@ -94,6 +94,14 @@ MALFORMED_DOCUMENTS = [
         "weight 'heavy' on edge (1, 2) is not a number",
     ),
     ('{"num_nodes": 2, "edges": {}}', "'edges' must be a list"),
+    (
+        '{"num_nodes": 2, "edges": [{"from": 1, "to": 2, "weight": 1}, [1, 2, 1], {"from": 2}]}',
+        "edge #1 must be an object with 'from', 'to' and 'weight'",
+    ),
+    (
+        '{"num_nodes": 0, "edges": [{"from": 1, "to": 2, "weight": 1}, "edge", null]}',
+        "edge #1 must be an object with 'from', 'to' and 'weight'",
+    ),
 ]
 
 
