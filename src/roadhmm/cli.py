@@ -61,7 +61,7 @@ def _cmd_validate_map(args) -> int:
     # the build keeps each positive weight positive, so the two counts agree
     positive_entries = int(np.count_nonzero(values))
     positive_edges = int(np.count_nonzero(graph.weight > 0))
-    print(f"{graph.num_nodes} nodes, {len(graph.edges)} edges")
+    print(f"{graph.num_nodes} nodes, {graph.src.size} edges")
     print(f"max column-sum deviation: {deviation:.3e}")
     print(
         f"zero pattern: {positive_entries} positive entries "

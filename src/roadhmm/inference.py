@@ -54,8 +54,10 @@ _CHUNK_BYTES = 1 << 20
 #: States from which the passes predict with padded rows instead of BLAS on
 #: the dense A. Measured on a 2-core Linux VM with one BLAS thread, on
 #: generated maps at each size's batch width for T = 50 (forward product, best
-#: of 5): BLAS 28-75 us against 57-115 us at M = 300-400, 235-306 us against
-#: 85-150 us at M = 500-700, and 1.9 ms against 0.1 ms at M = 3000.
+#: of 5), against padded rows summed one k at a time: BLAS 28-75 us against
+#: 57-115 us at M = 300-400, 235-306 us against 85-150 us at M = 500-700, and
+#: 1.9 ms against 0.1 ms at M = 3000. Not re-measured against ``_product``'s
+#: chunked gather (43-45 us per column at M = 3000, the loop 71-72 us).
 _SPARSE_STATES = 500
 
 #: Bytes of one sequence's (T, M) belief array from which ``run_smoother`` runs

@@ -3,10 +3,11 @@
 Positions are integer node ids 1..M. Directed edges carry unnormalized
 nonnegative weights; a self loop (src == dst) models stopping/parking at
 that position. ``RoadGraph`` checks a map's edges as numpy columns, ids,
-weights and pairs each as one array, and keeps those columns, from which
-the model builders read the edges: no Python loop runs per edge of a valid
-map. ``transition_entries`` normalizes each node's outgoing
-weights into the edges' entries of a column-stochastic matrix A with
+weights and pairs each as one array, so no Python loop runs per edge of a
+valid map, and keeps only ``num_nodes`` and those three columns, which the
+model builders read and ``save_map`` writes. ``transition_entries``
+normalizes each node's outgoing weights into the edges' entries of a
+column-stochastic matrix A with
 
     A[i - 1, j - 1] = P(next = i | current = j),
 
@@ -22,11 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,50 +55,49 @@ class MapError(ValueError):
     """Malformed map file or invalid graph structure."""
 
 
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    weight: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadGraph:
     """Directed weighted graph over positions 1..num_nodes.
 
     Weights are unnormalized ratios, not probabilities; the transition
-    builder normalizes per node. Instances are immutable and validated on
-    construction: integer endpoints in range, finite nonnegative weights, no
-    duplicate (src, dst) pairs, and every node has at least one outgoing edge
-    with positive weight (otherwise it would have no transition distribution).
-    A bad edge is named as the first in ``edges`` order, its checks in that
-    order. ``edges`` holds each edge with int ids and a float weight, and
-    ``src``, ``dst`` and ``weight`` hold the same as three numpy columns (int64
-    ids, float weights) in ``edges`` order, which the model builders read; the
-    columns are neither compared nor in the repr.
+    builder normalizes per node. Built from ``edges``, (src, dst, weight)
+    triples, which are validated and not kept: integer endpoints in range,
+    finite nonnegative weights, no duplicate (src, dst) pairs, and every node
+    has at least one outgoing edge with positive weight (otherwise it would
+    have no transition distribution). A bad edge is named as the first in
+    ``edges`` order, its checks in that order. An immutable graph holds the
+    edges as three numpy columns in that order, ``src`` and ``dst`` (int64)
+    and ``weight`` (float), and equals a graph with the same ``num_nodes``
+    and columns.
     """
 
     num_nodes: int
-    edges: tuple[Edge, ...]
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: InitVar[tuple]
+    src: np.ndarray = field(init=False)
+    dst: np.ndarray = field(init=False)
+    weight: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         if not _is_int(self.num_nodes) or self.num_nodes < 1:
             raise MapError("num_nodes must be a positive integer")
         num_nodes = int(self.num_nodes)
         # a valid map has an edge out of every node, so no more nodes than edges
-        valid = _columns(self.edges, num_nodes) if num_nodes <= len(self.edges) else None
-        if valid is None:
-            _reject(self.edges, num_nodes)
-        edges, src, dst, weight = valid
+        columns = _columns(edges, num_nodes) if num_nodes <= len(edges) else None
+        if columns is None:
+            _reject(edges, num_nodes)
+        src, dst, weight = columns
         has_source = np.bincount(src[weight > 0] - 1, minlength=num_nodes)
         missing = int(np.argmin(has_source))  # the first node without one, if any
         if has_source[missing] == 0:
             raise MapError(f"node {missing + 1} has no outgoing edge with positive weight")
-        for name, value in (("num_nodes", num_nodes), ("edges", edges),
-                            ("src", src), ("dst", dst), ("weight", weight)):
+        for name, value in zip(("num_nodes", "src", "dst", "weight"), (num_nodes, *columns)):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        # False, not NotImplemented: a reflected numpy == would compare elementwise
+        return isinstance(other, RoadGraph) and self.num_nodes == other.num_nodes and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("src", "dst", "weight"))
 
 
 def _is_int(value) -> bool:
@@ -107,12 +105,10 @@ def _is_int(value) -> bool:
 
 
 def _columns(edges, num_nodes: int):
-    """(edges, src, dst, weight) if each edge passes its checks, else None: the edges
-    with int ids and float weights, and the same as numpy columns.
+    """(src, dst, weight) as numpy columns if each edge passes its checks, else None.
 
     Types are checked over the set of each column's types, and ids, weights,
-    ranges and duplicates as whole columns. ``int`` and ``float`` return an
-    int or a float as it is, so a valid map's numbers are kept, not copied.
+    ranges and duplicates as whole columns.
     """
     src, dst, weight = zip(*edges)
     id_types, weight_types = set(map(type, src + dst)), set(map(type, weight))
@@ -122,12 +118,10 @@ def _columns(edges, num_nodes: int):
                for t in weight_types):
         return None
     try:  # an int weight beyond the float range or an id beyond int64 overflows
-        src, dst, weight = tuple(map(int, src)), tuple(map(int, dst)), tuple(map(float, weight))
-        columns = [np.fromiter(column, dtype, len(column))
-                   for column, dtype in ((src, np.int64), (dst, np.int64), (weight, float))]
+        s, d = (np.fromiter(map(int, ids), np.int64, len(ids)) for ids in (src, dst))
+        w = np.fromiter(map(float, weight), float, len(weight))
     except OverflowError:
         return None
-    s, d, w = columns
     good = (s >= 1) & (s <= num_nodes) & (d >= 1) & (d <= num_nodes) & np.isfinite(w) & (w >= 0)
     order = np.lexsort((d, s))
     repeated = (np.diff(s[order]) == 0) & (np.diff(d[order]) == 0)
@@ -135,7 +129,7 @@ def _columns(edges, num_nodes: int):
     # that no command runs otherwise, 64 KiB of resident memory
     if np.count_nonzero(good) < len(good) or np.count_nonzero(repeated):
         return None
-    return tuple(map(tuple.__new__, repeat(Edge), zip(src, dst, weight))), *columns
+    return s, d, w
 
 
 def _reject(edges, num_nodes: int) -> None:
@@ -191,7 +185,7 @@ def load_map(text: str) -> RoadGraph:
         pos = next(pos for pos, item in enumerate(raw_edges)
                    if not isinstance(item, dict) or not {"from", "to", "weight"} <= item.keys())
         raise MapError(f"edge #{pos} must be an object with 'from', 'to' and 'weight'") from None
-    return RoadGraph(num_nodes=data["num_nodes"], edges=edges)
+    return RoadGraph(data["num_nodes"], edges)
 
 
 def read_map(path: str) -> RoadGraph:
@@ -205,10 +199,11 @@ def read_map(path: str) -> RoadGraph:
 
 
 def save_map(graph: RoadGraph) -> str:
-    """Serialize a RoadGraph to the JSON map format; inverse of load_map."""
+    """Serialize a RoadGraph to the JSON map format, from its columns; inverse of load_map."""
+    columns = zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist())
     doc = {
         "num_nodes": graph.num_nodes,
-        "edges": [{"from": e.src, "to": e.dst, "weight": e.weight} for e in graph.edges],
+        "edges": [{"from": s, "to": d, "weight": w} for s, d, w in columns],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -366,7 +361,4 @@ def generate_default_map(
     for n in range(1, num_nodes + 1):
         add(n, n, _MAIN_SELF_WEIGHT if n in MAIN_ROAD_NODES else _SIDE_SELF_WEIGHT)
 
-    return RoadGraph(
-        num_nodes=int(num_nodes),
-        edges=tuple(Edge(s, d, w) for (s, d), w in edges.items()),
-    )
+    return RoadGraph(num_nodes, tuple((s, d, w) for (s, d), w in edges.items()))

@@ -53,9 +53,9 @@ def chain5_graph():
     """Bidirectional chain 1-2-3-4-5 with unit weights and self loops."""
     edges = []
     for a in range(1, 5):
-        edges.append(roadmap.Edge(a, a + 1, 1.0))
-        edges.append(roadmap.Edge(a + 1, a, 1.0))
-    edges.extend(roadmap.Edge(n, n, 1.0) for n in range(1, 6))
+        edges.append((a, a + 1, 1.0))
+        edges.append((a + 1, a, 1.0))
+    edges.extend((n, n, 1.0) for n in range(1, 6))
     return roadmap.RoadGraph(num_nodes=5, edges=tuple(edges))
 
 
@@ -63,8 +63,8 @@ def chain5_graph():
 def far_graph():
     """120 nodes on a two-way chain, plus a two-way edge 1 <-> 120 and node 60 that only parks."""
     pairs = [(a, a + 1) for a in range(1, 120) if 60 not in (a, a + 1)] + [(1, 120)]
-    edges = [roadmap.Edge(a, b, 1.0) for a, b in pairs] + [roadmap.Edge(b, a, 1.0) for a, b in pairs]
-    edges += [roadmap.Edge(n, n, 1.0) for n in range(1, 121)]
+    edges = [(a, b, 1.0) for a, b in pairs] + [(b, a, 1.0) for a, b in pairs]
+    edges += [(n, n, 1.0) for n in range(1, 121)]
     return roadmap.RoadGraph(120, tuple(edges))
 
 

@@ -9,8 +9,10 @@ recursions in log space, so no message underflows at any length.
 M x M observation matrix, built with a per-column loop and a full distance
 grid, independently of ``sensor.ObservationModel``, and
 ``reference_transition(graph)`` the dense transition matrix, built without
-its edge entries. ``sampling_table(matrix)`` gives a dense matrix's sampling
-table, for the tests that sample from a hand-built model, and
+its edge entries. ``edge_triples(graph)`` gives a graph's edges as
+(src, dst, weight) triples, read from its columns. ``sampling_table(matrix)``
+gives a dense matrix's sampling table, for the tests that sample from a
+hand-built model, and
 ``models(transition, observation)`` gives two dense matrices as the models
 that the passes take. ``reference_graph(num_nodes, edges)`` validates a map
 one edge at a time, as ``roadmap.RoadGraph`` did before it checked columns,
@@ -110,10 +112,15 @@ def log_domain_smoother(A, obs, initial, measurements) -> np.ndarray:
     return np.exp(joint - _log_sum_exp(joint, axis=1)[:, None])
 
 
+def edge_triples(graph):
+    """The graph's edges in order, as (src, dst, weight) triples of Python numbers."""
+    return list(zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()))
+
+
 def adjacency(graph):
-    """Boolean adjacency over graph.edges, symmetric over edge direction, self loops excluded."""
+    """Boolean adjacency over the graph's edges, symmetric in direction, self loops excluded."""
     adjacent = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
-    for src, dst, _ in graph.edges:
+    for src, dst, _ in edge_triples(graph):
         if src != dst:
             adjacent[dst - 1, src - 1] = adjacent[src - 1, dst - 1] = True
     return adjacent
@@ -147,7 +154,7 @@ def reference_noise(base, sigma):
 def reference_transition(graph):
     """The two-array build that build_transition_matrix replaced: weights in an
     M x M array, divided by its column sums."""
-    src, dst, weight = (np.array(column) for column in zip(*graph.edges))
+    src, dst, weight = graph.src, graph.dst, graph.weight
     weights = np.zeros((graph.num_nodes, graph.num_nodes))
     weights[dst - 1, src - 1] = weight
     return weights / weights.sum(axis=0)
@@ -182,8 +189,9 @@ def models(transition, observation):
 
 
 def reference_graph(num_nodes, edges):
-    """(num_nodes, edges) of a valid map, with int ids and float weights, or the
-    ``roadmap.MapError`` of an invalid one, checked one edge at a time in order:
+    """(num_nodes, edges) of a valid map, the edges as (src, dst, weight) triples
+    with int ids and float weights, or the ``roadmap.MapError`` of an invalid
+    one, checked one edge at a time in order:
     endpoints are integers in range, the weight a finite nonnegative number, the
     (src, dst) pair new; then every node needs an outgoing positive weight."""
     if not _is_int(num_nodes) or num_nodes < 1:
@@ -214,7 +222,7 @@ def reference_graph(num_nodes, edges):
         seen.add(key)
         if weight > 0:
             sources.add(key[0])
-        normalized.append(roadmap.Edge(key[0], key[1], weight))
+        normalized.append((key[0], key[1], weight))
     if len(sources) < num_nodes:
         missing = next(n for n in range(1, num_nodes + 1) if n not in sources)
         raise roadmap.MapError(f"node {missing} has no outgoing edge with positive weight")

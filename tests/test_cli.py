@@ -77,6 +77,46 @@ def test_validate_map_prints_its_full_report(default_map_path, capsys):
     )
 
 
+#: validate-map's exit status and complete stderr and stdout on three map files. The
+#: checks run over numpy columns, which lean on numpy's int conversion: a duplicate
+#: edge and a boolean node id each exit 1 with their MapError, and a generated
+#: 3000-node map is valid.
+VALIDATED_MAP_FILES = {
+    "duplicate": (
+        '{"num_nodes": 2, "edges": [{"from": 1, "to": 2, "weight": 1}, '
+        '{"from": 2, "to": 1, "weight": 1}, {"from": 1, "to": 2, "weight": 2}]}',
+        1, "error: duplicate edge (1, 2)\n", "",
+    ),
+    "bool-id": (
+        '{"num_nodes": 2, "edges": [{"from": 1, "to": 2, "weight": 1}, '
+        '{"from": true, "to": 1, "weight": 1}]}',
+        1, "error: node id True is not an integer\n", "",
+    ),
+    "generated-3000": (
+        None, 0, "",
+        "3000 nodes, 12017 edges\n"
+        "max column-sum deviation: 3.331e-16\n"
+        "zero pattern: 12017 positive entries match 12017 positive-weight edges\n"
+        "3000 nodes, columns stochastic\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALIDATED_MAP_FILES)
+def test_validate_map_in_a_child_process_exits_with_its_report(tmp_path, name):
+    text, status, err, out = VALIDATED_MAP_FILES[name]
+    if text is None:
+        text = roadmap.save_map(roadmap.generate_default_map(3000, 0))
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "roadhmm.cli", "validate-map", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (status, err, out)
+
+
 #: A -0.0 weight on 1 -> 2 and a 0 weight on 2 -> 2: two edges of probability 0
 SIGNED_ZERO_MAP = {
     "num_nodes": 2,

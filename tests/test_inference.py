@@ -546,9 +546,10 @@ def map_3000(hub: bool):
     node 3000 joined to every node, whose transpose's padded rows are then 3000 wide."""
     graph = roadmap.generate_default_map(3000, 0)
     if hub:
-        joined = {e.dst for e in graph.edges if e.src == 3000}
-        edges = tuple(roadmap.Edge(3000, j, 1.0) for j in range(1, 3001) if j not in joined)
-        graph = roadmap.RoadGraph(3000, graph.edges + edges)
+        edges = oracle.edge_triples(graph)
+        joined = {d for s, d, _ in edges if s == 3000}
+        edges += [(3000, j, 1.0) for j in range(1, 3001) if j not in joined]
+        graph = roadmap.RoadGraph(3000, edges)
     return roadmap.transition_model(graph)
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 import oracle
 from conftest import transition_matrix
 from roadhmm import roadmap
-from roadhmm.roadmap import Edge, MapError, RoadGraph
+from roadhmm.roadmap import MapError, RoadGraph
 
 
 def map_text(num_nodes, edges):
@@ -23,7 +24,7 @@ def map_text(num_nodes, edges):
 
 
 def edge_weights(graph):
-    return {(e.src, e.dst): e.weight for e in graph.edges}
+    return {(s, d): w for s, d, w in oracle.edge_triples(graph)}
 
 
 # ---- load_map ----
@@ -32,7 +33,7 @@ def edge_weights(graph):
 def test_load_minimal_cycle():
     graph = roadmap.load_map(map_text(2, [(1, 2, 1.0), (2, 1, 1.0)]))
     assert graph.num_nodes == 2
-    assert len(graph.edges) == 2
+    assert graph.src.size == 2
     assert edge_weights(graph) == {(1, 2): 1.0, (2, 1): 1.0}
 
 
@@ -125,11 +126,43 @@ def test_round_trip_preserves_default_map(default_graph):
     assert roadmap.save_map(roadmap.load_map(text)) == text
 
 
+def test_graphs_are_equal_when_their_node_counts_and_columns_are():
+    graph = roadmap.generate_default_map(num_nodes=30, seed=3)
+    assert roadmap.load_map(roadmap.save_map(graph)) == graph
+    triples = oracle.edge_triples(graph)
+    (src, dst, weight), rest = triples[0], triples[1:]
+    taken = {d for s, d, _ in triples if s == src}
+    other_dst = next(n for n in range(1, 31) if n not in taken)
+    more_nodes = copy.copy(graph)  # no valid map has more nodes and the same edges
+    object.__setattr__(more_nodes, "num_nodes", 31)
+    for changed in (RoadGraph(30, [(src, dst, weight * 2)] + rest),
+                    RoadGraph(30, [(src, other_dst, weight)] + rest),
+                    RoadGraph(30, triples[::-1]),
+                    more_nodes):
+        assert changed != graph and not changed == graph
+    # never numpy's elementwise == nor its ambiguous truth value
+    for other in (graph.src, triples, None, 30):
+        assert (graph == other) is False and (graph != other) is True
+
+
+def test_loaded_graph_keeps_only_its_columns():
+    # no edge triple or parsed object outlives load_map; 0.43 MB stays live
+    # here, beside 0.29 MB of columns
+    text = roadmap.save_map(roadmap.generate_default_map(num_nodes=3000, seed=0))
+    tracemalloc.start()
+    try:
+        graph = roadmap.load_map(text)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live <= 2 * (graph.src.nbytes + graph.dst.nbytes + graph.weight.nbytes)
+
+
 # ---- build_transition_matrix ----
 
 
 def test_self_loop_only_node_parks_forever():
-    graph = RoadGraph(2, (Edge(1, 1, 1.0), Edge(2, 1, 1.0), Edge(2, 2, 1.0)))
+    graph = RoadGraph(2, ((1, 1, 1.0), (2, 1, 1.0), (2, 2, 1.0)))
     matrix = transition_matrix(graph)
     assert_allclose(matrix[:, 0], [1.0, 0.0])
 
@@ -138,11 +171,11 @@ def test_proportional_normalization():
     graph = RoadGraph(
         3,
         (
-            Edge(1, 2, 2.0),
-            Edge(1, 3, 1.0),
-            Edge(1, 1, 1.0),
-            Edge(2, 1, 1.0),
-            Edge(3, 1, 1.0),
+            (1, 2, 2.0),
+            (1, 3, 1.0),
+            (1, 1, 1.0),
+            (2, 1, 1.0),
+            (3, 1, 1.0),
         ),
     )
     matrix = transition_matrix(graph)
@@ -163,7 +196,7 @@ def test_zero_pattern_matches_edges(seed):
     graph = roadmap.generate_default_map(num_nodes=25, seed=seed)
     matrix = transition_matrix(graph)
     pattern = np.zeros_like(matrix, dtype=bool)
-    for src, dst, weight in graph.edges:
+    for src, dst, weight in oracle.edge_triples(graph):
         pattern[dst - 1, src - 1] = weight > 0
     assert np.array_equal(matrix > 0, pattern)
 
@@ -174,10 +207,7 @@ def test_scaling_outgoing_weights_leaves_column_unchanged(node, scale):
     matrix = transition_matrix(graph)
     scaled = RoadGraph(
         graph.num_nodes,
-        tuple(
-            Edge(e.src, e.dst, e.weight * scale if e.src == node else e.weight)
-            for e in graph.edges
-        ),
+        tuple((s, d, w * scale if s == node else w) for s, d, w in oracle.edge_triples(graph)),
     )
     rescaled = transition_matrix(scaled)
     assert_allclose(rescaled[:, node - 1], matrix[:, node - 1], atol=1e-12)
@@ -185,7 +215,7 @@ def test_scaling_outgoing_weights_leaves_column_unchanged(node, scale):
 
 def overflow_graph(weight_1_2):
     # node 1's outgoing weights sum beyond the float range unless weight_1_2 is tiny
-    return RoadGraph(2, (Edge(1, 1, 1e308), Edge(1, 2, weight_1_2), Edge(2, 1, 1.0)))
+    return RoadGraph(2, ((1, 1, 1e308), (1, 2, weight_1_2), (2, 1, 1.0)))
 
 
 @pytest.mark.parametrize(
@@ -222,9 +252,7 @@ def test_transition_bytes_equal_two_array_reference(kwargs):
 
 
 #: Node 1 keeps a -0.0 weight on its edge to node 2, node 2 a 0 weight on its self loop
-SIGNED_ZERO_GRAPH = RoadGraph(
-    2, (Edge(1, 1, 1.0), Edge(1, 2, -0.0), Edge(2, 1, 1.0), Edge(2, 2, 0))
-)
+SIGNED_ZERO_GRAPH = RoadGraph(2, ((1, 1, 1.0), (1, 2, -0.0), (2, 1, 1.0), (2, 2, 0)))
 
 
 def assert_entries_equal_reference(graph):
@@ -234,10 +262,10 @@ def assert_entries_equal_reference(graph):
     included."""
     rows, columns, values = roadmap.transition_entries(graph)
     expected = oracle.reference_transition(graph)
-    assert rows.shape == columns.shape == values.shape == (len(graph.edges),)
+    assert rows.shape == columns.shape == values.shape == (graph.src.size,)
     assert np.all(np.diff(columns * graph.num_nodes + rows) > 0)
     assert {(r + 1, c + 1) for r, c in zip(rows.tolist(), columns.tolist())} == {
-        (e.dst, e.src) for e in graph.edges
+        (d, s) for s, d, _ in oracle.edge_triples(graph)
     }
     assert values.tobytes() == expected[rows, columns].tobytes()
     scattered = np.zeros((graph.num_nodes, graph.num_nodes))
@@ -257,8 +285,8 @@ def test_transition_entries_equal_two_array_reference(kwargs):
 
 
 def test_transition_entries_keep_zero_weight_edges_and_their_sign():
-    reversed_graph = RoadGraph(2, tuple(reversed(SIGNED_ZERO_GRAPH.edges)))
-    for graph in (SIGNED_ZERO_GRAPH, reversed_graph, RoadGraph(1, (Edge(1, 1, 1.0),))):
+    reversed_graph = RoadGraph(2, tuple(reversed(oracle.edge_triples(SIGNED_ZERO_GRAPH))))
+    for graph in (SIGNED_ZERO_GRAPH, reversed_graph, RoadGraph(1, ((1, 1, 1.0),))):
         assert_entries_equal_reference(graph)
     for graph in (SIGNED_ZERO_GRAPH, reversed_graph):
         _, _, values = roadmap.transition_entries(graph)

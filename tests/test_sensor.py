@@ -108,7 +108,7 @@ def scatter(graph):
 
 
 def test_base_single_node_graph():
-    graph = roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),))
+    graph = roadmap.RoadGraph(1, ((1, 1, 1.0),))
     assert_allclose(scatter(graph), [[1.0]])
 
 
@@ -128,7 +128,7 @@ def test_base_non_adjacent_pairs_are_zero(chain5_graph):
 def test_base_counts_adjacency_in_either_direction():
     # only a one-way edge 1 -> 2, but both nodes still confuse each other
     graph = roadmap.RoadGraph(
-        2, (roadmap.Edge(1, 2, 1.0), roadmap.Edge(1, 1, 1.0), roadmap.Edge(2, 2, 1.0))
+        2, ((1, 2, 1.0), (1, 1, 1.0), (2, 2, 1.0))
     )
     base = scatter(graph)
     assert_allclose(base, [[0.7, 0.3], [0.3, 0.7]])
@@ -165,7 +165,7 @@ def generated700_graph():
 def isolated_graph():
     # nodes 3 and 5 only park; 4 has a one-way edge in from 1
     edges = [(1, 2), (2, 1), (1, 4), (1, 1), (3, 3), (4, 4), (5, 5)]
-    return roadmap.RoadGraph(5, tuple(roadmap.Edge(a, b, 1.0) for a, b in edges))
+    return roadmap.RoadGraph(5, tuple((a, b, 1.0) for a, b in edges))
 
 
 @pytest.mark.parametrize(
@@ -185,7 +185,7 @@ def test_base_equals_per_column_reference(request, graph_fixture):
 
 
 def test_noise_single_state_stays_certain():
-    graph = roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),))
+    graph = roadmap.RoadGraph(1, ((1, 1, 1.0),))
     out = observation_matrix(sensor.observation_model(graph, 1.0))
     assert_allclose(out, [[1.0]], atol=1e-15)
 
@@ -269,7 +269,7 @@ def reference_graphs():
         "default": roadmap.generate_default_map(),
         "generated700": roadmap.generate_default_map(num_nodes=700, seed=5),
         "generated12": roadmap.generate_default_map(num_nodes=12, seed=5),
-        "single": roadmap.RoadGraph(1, (roadmap.Edge(1, 1, 1.0),)),
+        "single": roadmap.RoadGraph(1, ((1, 1, 1.0),)),
     }
 
 
