@@ -8,7 +8,8 @@ results are a function of its configuration alone. ``simulate_trials``
 checks a configuration and builds its model once, at the call, and hands
 out its batches: ``simulate`` runs them in order, and ``run_experiment``,
 where ``os.fork`` exists, runs the later half of them in a helper process,
-which leaves every result unchanged.
+which leaves every result unchanged. Drives are drawn by inverse CDF from
+each model's ``roadmap.padded_columns``, summed down each column.
 """
 
 from __future__ import annotations
@@ -68,64 +69,40 @@ def inverse_cdf_sample(cdf, u):
 
     ``cdf`` is the running sum of a probability column in ascending node-id
     order, over all M entries (the position is then the node id) or over the
-    nonzeros only, as in ``column_cdfs``. An (M,) column and a scalar u give
-    a numpy integer, (M, N) columns and N uniforms N positions. Counting
-    entries <= u equals ``searchsorted(side="right")`` on a sorted column; a
-    u at or beyond a rounded-down total is clamped just below it, so a
-    zero-probability state is never selected.
+    nonzeros only, as down a ``sampling_tables`` column. An (L,) column and
+    a scalar u give a numpy integer, (L, N) columns and N uniforms N
+    positions. Counting entries <= u equals ``searchsorted(side="right")`` on
+    a sorted column; a u at or beyond a rounded-down total is clamped just
+    below it, so a zero-probability state is never selected.
     """
     cdf = np.asarray(cdf)
     return (cdf <= np.minimum(u, np.nextafter(cdf[-1], 0.0))).sum(axis=0) + 1
 
 
-def column_cdfs(num_nodes: int, width: int, groups):
-    """(ids, cdf), both (M, K) with K the most nonzeros in any column.
-
-    ``groups`` yields a column-stochastic matrix's nonzeros as (rows, columns,
-    values), 0-based, each group sorted by column, then row, and a column's
-    groups in row order; ``width`` bounds any column's count of them. Row i
-    holds column i's nonzero node ids in ascending order, padded with 0, and
-    the running sum of their values, padded with the column total. Adding 0.0
-    leaves a running sum unchanged, so ``cdf[i]`` equals the dense
-    ``np.cumsum(matrix, axis=0)[ids[i] - 1, i]`` bit for bit, padding included.
-    """
-    ids = np.zeros((num_nodes, width), dtype=np.int64)
-    cdf = np.zeros(ids.shape)
-    filled = np.zeros(num_nodes, dtype=np.intp)  # nonzeros placed so far, per column
-    for rows, columns, values in groups:
-        positions = filled[columns] + np.arange(columns.size) - np.searchsorted(columns, columns)
-        ids[columns, positions] = rows + 1
-        cdf[columns, positions] = values
-        filled += np.bincount(columns, minlength=num_nodes)
-    width = int(filled.max())  # the width was a bound
-    return ids[:, :width], np.cumsum(cdf[:, :width], axis=1, out=cdf[:, :width])
-
-
-def transition_table(transition: roadmap.TransitionModel):
-    """The transition's ``column_cdfs``, from its nonzero entries."""
-    nonzero = transition.values != 0  # a zero-weight edge's entry is no entry of the table
-    group = transition.rows[nonzero], transition.columns[nonzero], transition.values[nonzero]
-    return column_cdfs(transition.num_nodes, int(np.bincount(group[1]).max()), [group])
-
-
 def sampling_tables(transition: roadmap.TransitionModel, observation: sensor.ObservationModel):
-    """``sample_trajectory``'s tables: the ``column_cdfs`` of the transition and observation."""
-    observation_table = column_cdfs(transition.num_nodes, *observation.column_entries())
-    return transition_table(transition), observation_table
+    """``sample_trajectory``'s (ids, cdf) tables: each model's ``roadmap.padded_columns``
+    with its values summed down each column, the transition's ids its ``padded_rows[1]``'s.
+
+    Adding 0.0 leaves a running sum unchanged, so ``cdf[:, i]`` equals the dense
+    ``np.cumsum(matrix, axis=0)[ids[:, i], i]`` bit for bit, padding included.
+    """
+    ids, values = transition.padded_rows[1]
+    table = roadmap.padded_columns(transition.num_nodes, *observation.column_entries())
+    return (ids, np.cumsum(values, axis=0)), (table[0], np.cumsum(table[1], axis=0, out=table[1]))
 
 
-def _draw(column_cdf, x, u):
+def _draw(table, x, u):
     """Node ids drawn from columns ``x`` (1-based) with uniforms ``u``."""
-    ids, cdf = column_cdf
-    rows = x - 1
-    return ids[rows, inverse_cdf_sample(cdf[rows].T, u) - 1]
+    ids, cdf = table
+    return ids[inverse_cdf_sample(cdf[:, x - 1], u) - 1, x - 1] + 1
 
 
 def sample_trajectory(transition_cdfs, observation_cdfs, initial_state: int, steps: int, seed):
     """Simulate a true path and its measurements by inverse-CDF sampling.
 
-    The two tables are the ``column_cdfs`` of the transition and observation,
-    as ``sampling_tables`` builds them. Each step draws the next state from
+    The two tables are those of the transition and observation that
+    ``sampling_tables`` builds, (ids, cdf) pairs of shape (K, M), so the
+    states are a table's columns. Each step draws the next state from
     column x_{k-1} of the transition, then the measurement from column x_k of
     the observation, consuming one uniform per draw in that order; the draws
     equal those from the dense ``np.cumsum(matrix, axis=0)`` columns. A
@@ -136,7 +113,7 @@ def sample_trajectory(transition_cdfs, observation_cdfs, initial_state: int, ste
     for one ``seed``, (steps, N) with one column per seed for a sequence of N
     seeds.
     """
-    inference.point_mass_belief(len(transition_cdfs[0]), initial_state)  # checks the initial state
+    inference.point_mass_belief(transition_cdfs[0].shape[1], initial_state)  # checks initial_state
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     single = np.ndim(seed) == 0

@@ -17,7 +17,8 @@ and ``_product`` picks the product's kernel by the number of states alone.
 Below ``_SPARSE_STATES`` it is BLAS on the dense A, the model's ``matrix``,
 which may round a batch's columns differently in the last bit from one
 column's, so batched beliefs can differ by an ulp. From there on it is a
-fixed-order sum over A's padded rows, about four entries each on a road map:
+fixed-order sum over A's padded rows, about four entries each on a road map,
+laid out by ``roadmap.padded_columns`` as the sampling tables are:
 it costs O(K M) per column instead of O(M^2), never builds the dense A, and
 gives a column's product the same bits alone, in a batch and at any BLAS
 thread count.

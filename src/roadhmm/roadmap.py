@@ -14,9 +14,10 @@ column-stochastic matrix A with
 and ``A @ belief`` is one prediction step. ``TransitionModel`` keeps A in
 those entries, about four per column, and is the one form of A that the
 passes take: they predict with its padded rows on a large map, and with its
-dense ``matrix`` on a small one. ``transition_rows`` scatters any block of
-A's rows into zeros. The map is directional: the weight of (j -> i) is
-independent of the weight of (i -> j).
+dense ``matrix`` on a small one. ``padded_columns``, the one padded layout,
+builds A's padded rows and both sampling tables. ``transition_rows``
+scatters any block of A's rows into zeros. The map is directional: the
+weight of (j -> i) is independent of the weight of (i -> j).
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ class TransitionModel:
     sorted by column, then row. ``shape`` is (M, M), so ``np.shape`` reads it
     without building A. The passes read ``matrix``, the dense A that
     ``build_transition_matrix`` builds at its first read, below the sparse
-    crossover, and ``padded_rows``, A's and its transpose's rows, above it.
+    crossover, and ``padded_rows``, A's and its transpose's rows, above it;
+    the transition's sampling table holds the transpose's ids.
     """
 
     num_nodes: int
@@ -263,30 +265,35 @@ class TransitionModel:
 
     @cached_property
     def padded_rows(self):
-        """((ids, values) of A, (ids, values) of its transpose), each (K, M).
-
-        Row i holds its nonzero entries in increasing column order: column
-        ``ids[k, i]`` has value ``values[k, i]``. K is the most nonzero entries
-        in any row, and a shorter row is padded with id 0 and value 0.0, so
-        (A @ b)[i] is the sum over k of values[k, i] * b[ids[k, i]].
-        """
-        by_row = np.lexsort((self.columns, self.rows))
-        return (
-            _padded(self.num_nodes, self.rows[by_row], self.columns[by_row], self.values[by_row]),
-            _padded(self.num_nodes, self.columns, self.rows, self.values),
-        )
+        """((ids, values) of A, (ids, values) of its transpose): the ``padded_columns`` of
+        A^T and of A, so (A @ b)[i] is the sum over k of values[k, i] * b[ids[k, i]]."""
+        m, by_row = self.num_nodes, np.lexsort((self.columns, self.rows))
+        rows = padded_columns(m, int(np.bincount(self.rows, minlength=m).max()),
+                              [(self.columns[by_row], self.rows[by_row], self.values[by_row])])
+        return rows, padded_columns(m, int(np.bincount(self.columns, minlength=m).max()),
+                                    [(self.rows, self.columns, self.values)])
 
 
-def _padded(m: int, rows: np.ndarray, ids: np.ndarray, values: np.ndarray):
-    """(ids, values), both (K, m): the nonzero entries of each row, which ``rows`` holds sorted."""
-    nonzero = values != 0
-    rows, ids, values = rows[nonzero], ids[nonzero], values[nonzero]
-    slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # the entry's place in its row
-    width = max(1, int(np.bincount(rows, minlength=m).max()))
-    padded_ids, padded_values = np.zeros((width, m), dtype=np.intp), np.zeros((width, m))
-    padded_ids[slot, rows] = ids
-    padded_values[slot, rows] = values
-    return padded_ids, padded_values
+def padded_columns(num_nodes: int, width: int, groups):
+    """(ids, values), both (K, M): column i's k-th nonzero entry, rows ascending, is
+    row ``ids[k, i]`` with value ``values[k, i]``, padded with id 0 and value 0.0.
+
+    ``groups`` yields the entries as 0-based (rows, columns, values), each group
+    sorted by column, then row, and a column's groups in row order; a 0 value is
+    no entry. ``width`` bounds K, the most nonzeros in any column, at least 1.
+    """
+    ids = np.zeros((max(1, width), num_nodes), dtype=np.intp)
+    padded = np.zeros(ids.shape)
+    filled = np.zeros(num_nodes, dtype=np.intp)  # entries placed so far, per column
+    for rows, columns, values in groups:
+        nonzero = values != 0
+        rows, columns, values = rows[nonzero], columns[nonzero], values[nonzero]
+        slot = filled[columns] + np.arange(columns.size) - np.searchsorted(columns, columns)
+        ids[slot, columns] = rows
+        padded[slot, columns] = values
+        filled += np.bincount(columns, minlength=num_nodes)
+    width = max(1, int(filled.max()))  # the width was a bound
+    return ids[:width], padded[:width]
 
 
 def transition_rows(transition: TransitionModel, a: int, b: int) -> np.ndarray:

@@ -12,7 +12,10 @@ grid, independently of ``sensor.ObservationModel``, and
 its edge entries. ``edge_triples(graph)`` gives a graph's edges as
 (src, dst, weight) triples, read from its columns. ``sampling_table(matrix)``
 gives a dense matrix's sampling table, for the tests that sample from a
-hand-built model, and
+hand-built model: (ids, cdf), both (K, M), column i's nonzero rows (0-based)
+and their running sums down ``ids[:, i]`` and ``cdf[:, i]``, as
+``roadmap.padded_columns`` lays them out, the layout of the passes' padded
+rows too, and
 ``models(transition, observation)`` gives two dense matrices as the models
 that the passes take. ``reference_graph(num_nodes, edges)`` validates a map
 one edge at a time, as ``roadmap.RoadGraph`` did before it checked columns,
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 
-from roadhmm import experiment, roadmap, sensor
+from roadhmm import roadmap, sensor
 
 DEFAULT_MAX_PATHS = 10_000_000
 _CHUNK = 1 << 18
@@ -169,10 +172,12 @@ def _entries(matrix):
 
 
 def sampling_table(matrix):
-    """``experiment.column_cdfs`` of a dense column-stochastic matrix, from its nonzeros."""
+    """``experiment.sampling_tables``' table of a dense column-stochastic matrix: its
+    nonzeros' ``roadmap.padded_columns``, with the values summed down each column."""
     rows, columns, values = _entries(matrix)
     width = int(np.bincount(columns).max())
-    return experiment.column_cdfs(np.shape(matrix)[1], width, [(rows, columns, values)])
+    ids, cdf = roadmap.padded_columns(np.shape(matrix)[1], width, [(rows, columns, values)])
+    return ids, np.cumsum(cdf, axis=0, out=cdf)
 
 
 def models(transition, observation):

@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -142,10 +143,10 @@ def test_zero_weight_edges_keep_their_signed_zeros_and_stay_out_of_the_tables(tm
     prefix = tmp_path / "signed"
     assert main(["export-matrices", "--map", str(path), "--out-prefix", str(prefix)]) == 0
     assert (tmp_path / "signed_transition.csv").read_bytes() == b"1.0,1.0\n-0.0,0.0\n"
-    # each column's one positive entry, node 1; the sampler never sees the zeros
+    # each column's one positive entry, node 1 (row 0); the sampler never sees the zeros
     graph = roadmap.read_map(str(path))
     (ids, cdf), _ = experiment.sampling_tables(*experiment.build_model(graph, 1.0))
-    assert ids.tolist() == [[1], [1]] and cdf.tolist() == [[1.0], [1.0]]
+    assert ids.tolist() == [[0, 0]] and cdf.tolist() == [[1.0, 1.0]]
 
 
 def test_validate_map_reports_column_that_is_not_stochastic(small_map_path, capsys, monkeypatch):
@@ -307,6 +308,38 @@ def test_simulate_byte_identical_runs(tmp_path):
     assert main(simulate_args(str(a), **{"--trials": "3"})) == 0
     assert main(simulate_args(str(b), **{"--trials": "3"})) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def hub_map():
+    """``generate_default_map(600, 5)`` plus an edge from node 600 to every node: above the
+    sparse crossover, with one column of A and one row of A^T that hold all 600 nodes."""
+    graph = roadmap.generate_default_map(600, 5)
+    edges = oracle.edge_triples(graph)
+    joined = {d for s, d, _ in edges if s == 600}
+    return roadmap.RoadGraph(600, edges + [(600, d, 1.0) for d in range(1, 601) if d not in joined])
+
+
+#: sha256 of ``simulate --init 5 --trials 3 --seed 0``'s CSV on the default map (BLAS
+#: passes), a 700-node map (padded-row passes) and the hub map (a table as wide as M)
+SIMULATE_DIGESTS = {
+    "default": "6adadaab1516f9bc644862d6bdf1a2ceedcba79c00fdb566529f86bbe63ea3a9",
+    "700": "f503f0752ceeb809c7c45a821577ff0919c263450013bc09cc5d4ab4fa11e808",
+    "hub": "70b7049657a37540fdc28f02f9eb3a08dab0f494934877eedd510abf8af25acf",
+}
+
+
+@pytest.mark.parametrize("name", SIMULATE_DIGESTS)
+def test_simulate_bytes_are_pinned(tmp_path, capsys, name):
+    graph = {"default": None, "700": lambda: roadmap.generate_default_map(700, 5),
+             "hub": hub_map}[name]
+    map_path = "default"
+    if graph is not None:
+        map_path = str(tmp_path / "map.json")
+        Path(map_path).write_text(roadmap.save_map(graph()))
+    out = tmp_path / "sim.csv"
+    args = ["--map", map_path, "--init", "5", "--trials", "3", "--seed", "0", "--out", str(out)]
+    assert main(["simulate", *args]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_DIGESTS[name]
 
 
 def test_simulate_filter_only_leaves_smoother_column_empty(tmp_path):
@@ -1495,6 +1528,59 @@ def test_simulate_inference_error_leaves_no_out_file(tmp_path, capsys, monkeypat
     assert main(simulate_args(str(out), **{"--trials": "2"})) == 1
     assert "trial 0: step 2: measurement 0 out of range" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---- a 700-node map, above the sparse crossover, in child processes ----
+
+
+def run_cli_child(cwd, *args, threads=None):
+    """``python -m roadhmm.cli *args`` in a child process in ``cwd``, with ``src`` on its path
+    and, if given, ``threads`` OpenBLAS threads; it must exit 0."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "roadhmm.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture
+def map700_dir(tmp_path):
+    (tmp_path / "map700.json").write_text(roadmap.save_map(roadmap.generate_default_map(700, 5)))
+    return tmp_path
+
+
+def test_700_node_matrices_are_one_row_per_node_with_every_field_its_repr(map700_dir):
+    # written a block of rows at a time; a PGM starts with its P2 header
+    run_cli_child(map700_dir, "export-matrices", "--map", "map700.json", "--out-prefix", "m700")
+    run_cli_child(map700_dir, "export-matrices", "--map", "map700.json", "--out-prefix", "m700",
+                  "--format", "pgm")
+    for name in ("transition", "observation"):
+        text = (map700_dir / f"m700_{name}.csv").read_text()
+        assert text.count("\n") == 700
+        fields = [field for row in text.splitlines() for field in row.split(",")]
+        wrong = [field for field in fields if field != repr(float(field))]
+        assert fields and not wrong, wrong[:3]
+        assert (map700_dir / f"m700_{name}.pgm").read_bytes().split(b"\n", 1)[0] == b"P2"
+
+
+def test_700_node_simulate_and_infer_bytes_do_not_depend_on_openblas_threads(map700_dir):
+    # above the sparse crossover the passes run no BLAS
+    for threads in (1, 2):
+        run_cli_child(map700_dir, "simulate", "--map", "map700.json", "--init", "5",
+                      "--trials", "4", "--out", f"sim700-{threads}.csv", threads=threads)
+    simulated = (map700_dir / "sim700-1.csv").read_bytes()
+    assert simulated == (map700_dir / "sim700-2.csv").read_bytes()
+    measured = [row.split(",")[3] for row in simulated.decode().splitlines()[1:51]]
+    (map700_dir / "measured700.txt").write_text("\n".join(measured) + "\n")
+    for threads in (1, 2):
+        run_cli_child(map700_dir, "infer", "--map", "map700.json", "--init-state", "5",
+                      "--measurements", "measured700.txt", "--out", f"inferred700-{threads}.csv",
+                      threads=threads)
+    inferred = (map700_dir / "inferred700-1.csv").read_bytes()
+    assert inferred and inferred == (map700_dir / "inferred700-2.csv").read_bytes()
 
 
 # ---- out of memory ----

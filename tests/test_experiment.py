@@ -104,22 +104,24 @@ def test_single_values_are_numpy_scalars():
 
 
 def assert_column_cdfs_match_dense(table, matrix):
-    """Each row is the dense cumsum at the column's nonzeros, padded with the column total."""
+    """Each column holds its nonzeros' rows (0-based) and the dense cumsum at them,
+    padded with id 0 and the column total."""
     ids, cdf = table
     dense = np.cumsum(matrix, axis=0)
     counts = np.count_nonzero(matrix, axis=0)
-    assert ids.shape == cdf.shape == (matrix.shape[1], counts.max())
+    assert ids.shape == cdf.shape == (counts.max(), matrix.shape[1])
     for i, n in enumerate(counts):
-        assert np.all(np.diff(ids[i, :n]) > 0)
-        assert np.array_equal(ids[i, :n], np.flatnonzero(matrix[:, i]) + 1)
-        assert np.array_equal(cdf[i, :n], dense[ids[i, :n] - 1, i])
-        assert np.array_equal(cdf[i, n:], np.full(cdf.shape[1] - n, dense[-1, i]))
+        assert np.all(np.diff(ids[:n, i]) > 0)
+        assert np.array_equal(ids[:n, i], np.flatnonzero(matrix[:, i]))
+        assert not ids[n:, i].any()
+        assert np.array_equal(cdf[:n, i], dense[ids[:n, i], i])
+        assert np.array_equal(cdf[n:, i], np.full(cdf.shape[0] - n, dense[-1, i]))
     # a draw through the padded pair is the dense draw, at cdf values and at the largest u
     columns = np.arange(matrix.shape[1])
     u = np.random.default_rng(0).random(columns.size)
-    u[::3] = cdf[::3, 0]
+    u[::3] = cdf[0, ::3]
     u[-1] = 1.0 - 2.0**-53  # the largest value Generator.random() returns
-    drawn = ids[columns, experiment.inverse_cdf_sample(cdf.T, u) - 1]
+    drawn = experiment._draw(table, columns + 1, u)
     assert np.array_equal(drawn, experiment.inverse_cdf_sample(dense, u))
 
 
@@ -154,24 +156,35 @@ def test_column_cdfs_match_dense_cumsum_on_the_3000_node_transition():
 
 
 def test_transition_tables_hold_little_beyond_their_output():
-    # 12 017 edges at M = 3000: the tables are 3000 x 10 and the build's peak
-    # measured 1.3 MiB, against 68.7 MiB for the dense matrix
+    # 12 017 edges at M = 3000: the padded rows of A and of its transpose are each
+    # two 10 x 3000 arrays, and their build's peak measured 1.2 MiB, against 68.7 MiB
+    # for the dense matrix. The transition table reads the transpose's ids, the
+    # array itself, so beyond the observation table its build allocates its cdf
     graph = roadmap.generate_default_map(num_nodes=3000, seed=0)
-    peak = traced_peak(lambda: experiment.transition_table(roadmap.transition_model(graph)))
-    assert peak <= 2 << 20
+    transition = roadmap.transition_model(graph)
+    observation = sensor.observation_model(graph, 1.0)
+    assert traced_peak(lambda: transition.padded_rows) <= 2 << 20
+    observation_peak = traced_peak(
+        lambda: roadmap.padded_columns(3000, *observation.column_entries()))
+    tables = []
+    peak = traced_peak(lambda: tables.append(experiment.sampling_tables(transition, observation)))
+    (ids, cdf), _ = tables[0]
+    assert np.shares_memory(ids, transition.padded_rows[1][0])
+    assert cdf.shape == (10, 3000)
+    assert peak <= observation_peak + cdf.nbytes + (16 << 10)
 
 
 def test_column_cdfs_of_identity_have_width_one():
     ids, cdf = oracle.sampling_table(np.eye(3))
-    assert ids.tolist() == [[1], [2], [3]] and cdf.tolist() == [[1.0]] * 3
+    assert ids.tolist() == [[0, 1, 2]] and cdf.tolist() == [[1.0] * 3]
     assert_column_cdfs_match_dense((ids, cdf), np.eye(3))
 
 
 def test_column_cdfs_keep_an_entry_the_running_sum_absorbs():
     matrix = np.array([[0.5, 1.0], [1e-300, 0.0], [0.5, 0.0]])
     ids, cdf = oracle.sampling_table(matrix)
-    assert ids.tolist() == [[1, 2, 3], [1, 0, 0]]
-    assert cdf.tolist() == [[0.5, 0.5, 1.0], [1.0, 1.0, 1.0]]
+    assert ids.tolist() == [[0, 0], [1, 0], [2, 0]]
+    assert cdf.tolist() == [[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]
     assert_column_cdfs_match_dense((ids, cdf), matrix)
 
 
@@ -181,7 +194,7 @@ def test_column_cdfs_draw_below_a_rounded_down_total():
     assert_column_cdfs_match_dense((ids, cdf), matrix)
     largest = 1.0 - 2.0**-53
     dense = experiment.inverse_cdf_sample(np.cumsum(matrix[:, 0]), largest)
-    assert ids[0, experiment.inverse_cdf_sample(cdf[0], largest) - 1] == dense == 2
+    assert ids[experiment.inverse_cdf_sample(cdf[:, 0], largest) - 1, 0] + 1 == dense == 2
 
 
 def assert_same_cdfs(actual, expected):
@@ -214,15 +227,19 @@ def test_column_cdfs_of_an_observation_model_equal_the_dense_scan(
     dense = oracle.reference_noise(oracle.reference_confusion_base(graph), sigma)
     expected = oracle.sampling_table(dense)
     model = sensor.observation_model(graph, sigma)
-    assert_same_cdfs(experiment.column_cdfs(graph.num_nodes, *model.column_entries()), expected)
+    _, table = experiment.sampling_tables(roadmap.transition_model(graph), model)
+    assert_same_cdfs(table, expected)
     assert_column_cdfs_match_dense(expected, dense)
 
 
 def test_column_cdfs_of_an_observation_model_hold_little_beyond_their_output():
     # at sigma 1e4 every column is nonzero, so K = M and the two outputs take 2 M x M
     num_nodes = 1500
-    model = sensor.observation_model(roadmap.generate_default_map(num_nodes=num_nodes, seed=0), 1e4)
-    peak = traced_peak(lambda: experiment.column_cdfs(num_nodes, *model.column_entries()))
+    graph = roadmap.generate_default_map(num_nodes=num_nodes, seed=0)
+    model = sensor.observation_model(graph, 1e4)
+    transition = roadmap.transition_model(graph)
+    transition.padded_rows  # the transition's table reads them, and they take 0.5 MiB
+    peak = traced_peak(lambda: experiment.sampling_tables(transition, model))
     assert peak <= 2.25 * num_nodes**2 * 8
 
 
@@ -317,6 +334,10 @@ def test_sample_trajectory_matches_dense_reference_on_sparse_models(model):
 def test_sample_trajectory_rejects_bad_initial(default_tables):
     with pytest.raises(ValueError, match="out of range"):
         experiment.sample_trajectory(*default_tables, 0, 5, seed=1)
+    # the range is the tables' 105 columns, not their K rows
+    with pytest.raises(ValueError, match="initial state 106 out of range"):
+        experiment.sample_trajectory(*default_tables, 106, 5, seed=1)
+    assert experiment.sample_trajectory(*default_tables, 105, 5, seed=1)[0].shape == (5,)
 
 
 def test_sample_trajectory_rejects_negative_steps(default_tables):

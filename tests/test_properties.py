@@ -83,6 +83,52 @@ def test_transition_entries_equal_the_dense_reference(graph):
     assert transition_matrix(graph).tobytes() == expected.tobytes()
 
 
+@st.composite
+def grouped_columns(draw):
+    """(matrix, width, groups): a sparse matrix and its entries, some of them signed
+    zeros, split into groups of any sizes, empty ones too, each sorted by column,
+    then row, and each column's groups in row order; ``width`` bounds each
+    column's count of nonzeros, loosely."""
+    num_rows, num_columns = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.none() | st.sampled_from([0.0, -0.0]) | st.floats(5e-324, 1e300)
+    cells = draw(st.lists(cell, min_size=num_rows * num_columns, max_size=num_rows * num_columns))
+    entries = [(r, c, cells[c * num_rows + r]) for c in range(num_columns)
+               for r in range(num_rows) if cells[c * num_rows + r] is not None]
+    matrix = np.zeros((num_rows, num_columns))
+    for r, c, v in entries:
+        matrix[r, c] = v
+    # a group label per entry, nondecreasing down each column
+    count = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, count - 1), min_size=len(entries),
+                           max_size=len(entries)))
+    labels = [label for c in range(num_columns)
+              for label in sorted(x for x, (_, col, _) in zip(labels, entries) if col == c)]
+    groups = []
+    for g in range(count):
+        group = [entry for entry, label in zip(entries, labels) if label == g]
+        groups.append(tuple(np.array(part, dtype=dtype) for part, dtype in
+                            zip(zip(*group) if group else ((), (), ()), (np.intp, np.intp, float))))
+    widest = int(np.count_nonzero(matrix, axis=0).max())
+    return matrix, widest + draw(st.integers(0, 3)), groups
+
+
+@PROPERTY
+@given(grouped_columns())
+def test_padded_columns_hold_each_columns_nonzeros_in_row_order(drawn):
+    matrix, width, groups = drawn
+    ids, values = roadmap.padded_columns(matrix.shape[1], width, iter(groups))
+    nonzero = [np.flatnonzero(column) for column in matrix.T]
+    widest = max(1, max(rows.size for rows in nonzero))
+    assert ids.shape == values.shape == (widest, matrix.shape[1])
+    assert ids.dtype == np.intp and values.dtype == float
+    for i, rows in enumerate(nonzero):
+        n = rows.size
+        assert ids[:n, i].tolist() == rows.tolist()
+        assert values[:n, i].tobytes() == matrix[rows, i].tobytes()
+        assert ids[n:, i].tolist() == [0] * (widest - n)
+        assert values[n:, i].tobytes() == bytes(8 * (widest - n))  # +0.0, never -0.0
+
+
 #: Endpoints that no map may hold whatever its size, and weights that are no
 #: finite nonnegative number; -0.0 and the ints are valid weights
 _BAD_IDS = [True, False, 1.0, 2.5, "1", None]

@@ -173,7 +173,7 @@ def isolated_graph():
 )
 def test_base_equals_per_column_reference(request, graph_fixture):
     # the entries come sorted by column, then row, each (row, column) pair once,
-    # as column_entries and column_cdfs read them
+    # as column_entries and padded_columns read them
     graph = request.getfixturevalue(graph_fixture)
     rows, columns, _ = sensor.confusion_entries(graph)
     keys = columns * graph.num_nodes + rows
@@ -286,7 +286,7 @@ def test_noise_bytes_equal_dense_reference(reference_graphs, name):
         assert np.array_equal(bits(out), bits(expected)), sigma
         table, index = model.likelihood_table(backwards)
         assert np.array_equal(bits(table[index]), bits(expected[backwards])), sigma
-        ids, cdf = experiment.column_cdfs(graph.num_nodes, *model.column_entries())
+        _, (ids, cdf) = experiment.sampling_tables(roadmap.transition_model(graph), model)
         expected_ids, expected_cdf = oracle.sampling_table(expected)
         assert np.array_equal(ids, expected_ids), sigma
         assert np.array_equal(bits(cdf), bits(expected_cdf)), sigma
